@@ -96,6 +96,15 @@ def validate_config(channel: ChannelParams, fading: FadingModel) -> None:
     fading.validate()
 
 
+def in_disk(rho1: float, rho2: float) -> bool:
+    """The unit-disk test of CodingParams, in the exact floating-point form it applies.
+
+    ``rho1 ** 2`` and ``rho1 * rho1`` can round differently, so solvers that
+    must emit valid pairs test them with this function.
+    """
+    return rho1 ** 2 + rho2 ** 2 <= 1.0
+
+
 @dataclass(frozen=True)
 class CodingParams:
     """The (rho1, rho2, d) triple parameterizing the achievable region."""
@@ -109,7 +118,7 @@ class CodingParams:
         for name, v in (("rho1", self.rho1), ("rho2", self.rho2), ("d", self.d)):
             if not math.isfinite(v):
                 return f"{name} must be finite"
-        if self.rho1 ** 2 + self.rho2 ** 2 > 1.0:
+        if not in_disk(self.rho1, self.rho2):
             return "rho1^2 + rho2^2 must not exceed 1"
         if self.d < ch.d_min:
             return f"d must be at least the floor {ch.d_min:g}"

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .ergodic import make_rule
-from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy
+from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy, in_disk
 from .rate_core import _clamp0, _rate_kernel
 
 MODES = ("fixed-rho", "adaptive-rho")
@@ -37,8 +37,9 @@ GAP_WARN = 1e-3
 DEFAULT_GRID_POINTS = 50
 DEFAULT_GRID_FLOOR = 1e-3
 
-#: Power cap of the min_power bracketing.
+#: Power cap and floor of the min_power bracketing.
 POWER_CAP = float(2 ** 16)
+POWER_FLOOR = 1e-12
 
 
 class UnreachableError(RuntimeError):
@@ -86,6 +87,16 @@ def _boundary_rho1(rho2):
             break
         r1 = np.where(over, np.nextafter(r1, 0.0), r1)
     return r1 if r1.ndim else float(r1)
+
+
+def _into_disk(r1: float, r2: float) -> tuple[float, float]:
+    """Shave (r1, r2) toward zero by ulps until CodingParams accepts the pair."""
+    while not in_disk(r1, r2):
+        if abs(r1) >= abs(r2):
+            r1 = math.nextafter(r1, 0.0)
+        else:
+            r2 = math.nextafter(r2, 0.0)
+    return r1, r2
 
 
 def _power_candidates(budget: float, n: int = 64) -> np.ndarray:
@@ -202,13 +213,7 @@ def optimize_rho_per_state(g: float, P: float, d: float, ch: ChannelParams,
     silent = float(rate_of(0.0, 0.0))
     if silent >= best_val - 1e-10:
         return 0.0, 0.0, silent
-    r1, r2 = best_rho
-    while r1 * r1 + r2 * r2 > 1.0:  # shave off floating-point excess
-        if abs(r1) >= abs(r2):
-            r1 = math.nextafter(r1, 0.0)
-        else:
-            r2 = math.nextafter(r2, 0.0)
-    return r1, r2, best_val
+    return (*_into_disk(*best_rho), best_val)
 
 
 #: Budget-matching tolerance of the bisection; residual slack is closed by top-up.
@@ -517,10 +522,11 @@ def maximize_rate(ch: ChannelParams, fading: FadingModel, d: float, P_budget: fl
     zero = resp.power == 0.0
     rho1 = np.where(zero, 0.0, resp.rho1)
     rho2 = np.where(zero, 0.0, resp.rho2)
+    # the solvers' x*x disk tests can pass pairs that the policy's checks reject
+    rho1, rho2 = zip(*(_into_disk(float(a), float(b)) for a, b in zip(rho1, rho2)))
 
     value = float(w @ resp.value)
-    policy = PerStatePolicy(rule.nodes, rule.weights, tuple(resp.power),
-                            tuple(rho1), tuple(rho2))
+    policy = PerStatePolicy(rule.nodes, rule.weights, tuple(resp.power), rho1, rho2)
     return RateSolution(rate=value, policy=policy, feasible=value >= 0.0, mode=mode,
                         d=d, lam=lam, power=float(w @ resp.power),
                         per_node_kappa=tuple(bool(v >= 0.0) for v in resp.value),
@@ -595,49 +601,68 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
               envelope_check: bool = True) -> float:
     """Smallest average power budget attaining rate >= R_target at distortion <= D_target.
 
-    Exponential bracketing from 1e-6 (or a warm lower bound) up to the cap,
-    then Brent root-finding on the attained-rate residual; raises
-    UnreachableError when even the cap is insufficient.
+    A cold call brackets the root by factors of 4 from the noise power
+    sigma_z2, the natural unit of P (rates are invariant under a joint scale
+    of Q, d, sigma_z2 and P): downwards, to the floor POWER_FLOOR, while the
+    budget already reaches the target, upwards otherwise. A warm lower bound
+    (warm_lo, from a neighbouring cell) is stepped up from gently instead.
+    Brent root-finding on the attained-rate residual follows; should its
+    root fall just short of the target, the smallest budget solved above it
+    that reaches the target is returned. Each (d, P) is solved at most once
+    per call. Raises UnreachableError when even p_cap is insufficient; the
+    bracketing never steps above p_cap.
     """
     if R_target < 0:
         raise ConfigError("R_target must be nonnegative")
     if not (ch.d_min <= D_target <= ch.Q):
         raise ConfigError(f"D_target={D_target} outside ({ch.d_min:g}, {ch.Q}]")
 
+    rates: dict[tuple[float, float], float] = {}
+
+    def rate_at(d: float, p: float) -> float:
+        if (d, p) not in rates:
+            rates[(d, p)] = maximize_rate(ch, fading, d, p, mode=mode, nodes=nodes,
+                                          base=base).rate
+        return rates[(d, p)]
+
     def residual(p: float) -> float:
-        sol = maximize_rate(ch, fading, D_target, p, mode=mode, nodes=nodes, base=base)
-        return sol.rate - R_target
+        return rate_at(D_target, p) - R_target
 
     if residual(0.0) >= 0.0:
         return 0.0
 
     lo = max(warm_lo or 0.0, 0.0)
-    if lo > 0.0 and residual(lo) >= 0.0:
-        return lo
-    p = max(lo, 1e-6)
-    # gentler steps near a warm lower bound, doubling otherwise
-    step = 1.3 if lo > 0.0 else 2.0
-    r = residual(p)
-    while r < 0.0:
-        lo = p
-        p *= step
-        step = min(step * 1.3, 2.0)
-        if p > p_cap:
+    if lo > 0.0:
+        if residual(lo) >= 0.0:
+            return lo
+        # gentler steps near a warm lower bound, growing to doubling
+        hi, step, max_step = max(lo, 1e-6), 1.3, 2.0
+    else:
+        step = max_step = 4.0
+        lo = hi = min(ch.sigma_z2, p_cap)
+        while residual(lo) >= 0.0:
+            if lo <= POWER_FLOOR:
+                return lo
+            hi, lo = lo, max(lo / step, POWER_FLOOR)
+    while residual(hi) < 0.0:
+        if hi >= p_cap:
             raise UnreachableError(
                 f"rate {R_target} at distortion {D_target} unreachable below budget {p_cap:g}")
-        r = residual(p)
-    if lo == 0.0:
-        lo = 1e-12
-    root = float(brentq(residual, lo, p, xtol=1e-12, rtol=1e-9, maxiter=200))
+        lo, hi = hi, min(hi * step, p_cap)
+        step = min(step * 1.3, max_step)
+    root = float(brentq(residual, lo, hi, xtol=1e-12, rtol=1e-9, maxiter=200))
+    if residual(root) < 0.0:
+        # hi reaches the target, so the set is never empty
+        root = min(p for (d, p), r in rates.items()
+                   if d == D_target and p > root and r >= R_target)
 
     if envelope_check:
-        root = _envelope_consistency(ch, fading, R_target, D_target, root, mode,
-                                     nodes, base)
+        root = _envelope_consistency(ch, R_target, D_target, root, rate_at)
     return root
 
 
-def _envelope_consistency(ch, fading, R_target, D_target, root, mode, nodes, base
-                          ) -> float:
+def _envelope_consistency(ch: ChannelParams, R_target: float, D_target: float,
+                          root: float, rate_at: Callable[[float, float], float]) -> float:
     """Guard against non-concavity of R*(d): re-solve on a local envelope if it lifts."""
 
     def probe_env(p: float) -> float:
@@ -645,8 +670,7 @@ def _envelope_consistency(ch, fading, R_target, D_target, root, mode, nodes, bas
         for f in (0.75, 1.0, 1.3):
             dd = f * D_target
             if ch.d_min <= dd <= ch.Q:
-                sol = maximize_rate(ch, fading, dd, p, mode=mode, nodes=nodes, base=base)
-                pts.append((dd, sol.rate))
+                pts.append((dd, rate_at(dd, p)))
         env = concave_envelope(sorted(pts))
         return float(np.interp(D_target, [q[0] for q in env], [q[1] for q in env]))
 
@@ -654,7 +678,7 @@ def _envelope_consistency(ch, fading, R_target, D_target, root, mode, nodes, bas
         return root
     lo = root / 2.0
     for _ in range(40):
-        if probe_env(lo) < R_target or lo < 1e-12:
+        if probe_env(lo) < R_target or lo < POWER_FLOOR:
             break
         lo /= 2.0
     return float(brentq(lambda p: probe_env(p) - R_target, lo, root,

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fadingcr.model import ChannelParams, ConfigError, Degenerate, Discrete, Rayleigh
+from fadingcr import optimize
+from fadingcr.model import (ChannelParams, CodingParams, ConfigError, Degenerate, Discrete,
+                            Rayleigh)
 from fadingcr.ergodic import avg_power, ergodic_rate, make_rule
-from fadingcr.optimize import (UnreachableError, _rates, concave_envelope,
+from fadingcr.optimize import (UnreachableError, _into_disk, _rates, concave_envelope,
                                maximize_rate, min_power, optimize_rho_per_state,
                                power_distortion_curve, rd_frontier)
 
@@ -228,3 +230,68 @@ def test_discrete_two_state_fading_runs():
     assert sol.power == pytest.approx(2.5, rel=1e-6)
     # per-state power adapts: strong state gets at least as much as weak
     assert sol.policy.power[1] >= sol.policy.power[0]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The (d, P_budget) pairs that maximize_rate is called with, in order."""
+    seen = []
+    orig = optimize.maximize_rate
+
+    def counted(ch, fading, d, P_budget, **kw):
+        seen.append((d, P_budget))
+        return orig(ch, fading, d, P_budget, **kw)
+
+    monkeypatch.setattr(optimize, "maximize_rate", counted)
+    return seen
+
+
+def test_min_power_cold_solves_each_budget_once(solves):
+    min_power(CH, Degenerate(1.0), 0.2, 0.8, nodes=1)
+    assert len(solves) == len(set(solves))
+    assert len(solves) <= 20
+
+
+def test_min_power_scale_invariant(solves):
+    base = min_power(CH, Degenerate(1.0), 0.2, 0.8, nodes=1)
+    n_base = len(solves)
+    solves.clear()
+    c = 4.0
+    scaled = min_power(ChannelParams(c * CH.Q, c * CH.sigma_z2, c * CH.P_avg),
+                       Degenerate(1.0), 0.2, c * 0.8, nodes=1)
+    assert scaled == pytest.approx(c * base, rel=1e-8)
+    assert len(solves) == n_base
+
+
+@pytest.mark.parametrize("sigma_z2", [1.0, 1e4])
+def test_min_power_unreachable_solves_nothing_above_cap(solves, sigma_z2):
+    ch = ChannelParams(CH.Q, sigma_z2, CH.P_avg)
+    with pytest.raises(UnreachableError):
+        min_power(ch, Degenerate(0.0), 0.1, 0.5, nodes=1, p_cap=1e3)
+    assert solves and max(p for _, p in solves) <= 1e3
+
+
+def test_min_power_reaches_target_where_brent_stops_short():
+    # brentq's root here fell 1e-8 short of the target
+    R = 0.3059469816782637
+    p = min_power(CH, Rayleigh(), R, CH.Q, nodes=64)
+    assert maximize_rate(CH, Rayleigh(), CH.Q, p, nodes=64).rate >= R
+
+
+def test_into_disk_passes_the_policy_disk_test():
+    r1, r2 = 0.8964758001178629, -0.4430926988825675
+    assert r1 * r1 + r2 * r2 <= 1.0  # the solvers' test passes it ...
+    assert CodingParams(r1, r2, 0.5).violation(CH) is not None  # ... CodingParams' does not
+    s1, s2 = _into_disk(r1, r2)
+    assert CodingParams(s1, s2, 0.5).violation(CH) is None
+    assert (s1, s2) == (math.nextafter(r1, 0.0), r2)
+
+
+def test_adaptive_policy_passes_its_own_disk_check():
+    # adaptive-rho returned (0.8964758001178629, -0.4430926988825675) at node 21
+    c = 1.1062982444843836
+    ch = ChannelParams(Q=c, sigma_z2=c, P_avg=2.5 * c)
+    d = 0.2 ** (1.0 - 6.5 / 7) * c
+    sol = maximize_rate(ch, Rayleigh(), d, ch.P_avg, mode="adaptive-rho", nodes=128)
+    rule = make_rule(Rayleigh(), 128)
+    assert ergodic_rate(rule, sol.policy, d, ch) == pytest.approx(sol.rate, abs=1e-12)
