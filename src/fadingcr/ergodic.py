@@ -25,7 +25,7 @@ from .rate_core import rate_per_state
 #: Largest supported node count (weights underflow far earlier than this matters).
 MAX_NODES = 256
 
-PROVENANCE_TAGS = ("analytic-discrete", "Laguerre-transformed", "truncated-grid")
+PROVENANCE_TAGS = ("analytic-discrete", "Laguerre-transformed")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from .ergodic import make_rule
 from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy, in_disk
@@ -30,7 +30,7 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 #: Budget-matching tolerance of the multiplier bisection, relative to the budget.
 BUDGET_TOL = 1e-9
 
-#: Relative budget mismatch beyond which a duality-gap fallback is attempted.
+#: Relative budget miss of the bisection's response reported as a duality gap.
 GAP_WARN = 1e-3
 
 #: Default distortion grid: 50 log-spaced values in [1e-3 Q, Q].
@@ -74,7 +74,6 @@ def _golden_max(f: Callable, a, b, iters: int):
         f2 = np.where(left, keep_f, fp)
     pick1 = f1 >= f2
     return np.where(pick1, x1, x2), np.where(pick1, f1, f2)
-
 
 
 def _boundary_rho1(rho2):
@@ -148,7 +147,6 @@ class Frontier:
     """Envelope points of the rate-distortion frontier, D ascending."""
 
     points: tuple[FrontierPoint, ...]
-    envelope: bool = True
 
     def distortions(self) -> list[float]:
         return [p.D for p in self.points]
@@ -166,54 +164,34 @@ class Frontier:
         return float(np.interp(D, ds, rs))
 
 
+def _arc_max(g, P, d: float, ch: ChannelParams, base: float):
+    """(psi*, rate) of the per-state rate maximized over the disk, broadcast over g and P.
+
+    At fixed rho2 the rate rises with rho1 >= 0, so the maximum lies on the arc
+    rho = (cos psi, sin psi), |psi| <= pi/2: a 257-point psi scan, then 70
+    golden-section steps around the best scan point.
+    """
+    g, P = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(P, dtype=float))
+    psi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 257)
+    scan = _rates(g[..., None], P[..., None], np.cos(psi), np.sin(psi), d, ch, base)
+    k = np.argmax(scan, axis=-1)
+    return _golden_max(lambda p: _rates(g, P, np.cos(p), np.sin(p), d, ch, base),
+                       psi[np.maximum(k - 1, 0)], psi[np.minimum(k + 1, psi.size - 1)], 70)
+
+
 def optimize_rho_per_state(g: float, P: float, d: float, ch: ChannelParams,
-                           base: float = 2.0, grid: int = 64) -> tuple[float, float, float]:
+                           base: float = 2.0) -> tuple[float, float, float]:
     """Maximize the per-state rate over the closed disk rho1^2 + rho2^2 <= 1.
 
-    Polar coarse grid plus Nelder-Mead refinement (r projected into [0, 1]),
-    with a boundary line search as an extra start; ties within 1e-10 prefer
-    the silent pair (0, 0).
+    The arc search of _arc_max; ties within 1e-10 prefer the silent pair (0, 0).
     """
     if not (ch.d_min <= d <= ch.Q):
         raise ConfigError(f"d={d} outside [{ch.d_min:g}, {ch.Q}]")
-
-    def rate_of(rho1, rho2):
-        return _rates(g, P, rho1, rho2, d, ch, base)
-
-    r = np.linspace(0.0, 1.0, grid)
-    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    rr, tt = np.meshgrid(r, theta, indexing="ij")
-    vals = rate_of(rr * np.cos(tt), rr * np.sin(tt))
-    flat = int(np.argmax(vals))
-    seeds = [(float(rr.ravel()[flat]), float(tt.ravel()[flat]))]
-
-    # boundary line search: rho1 = cos(psi) >= 0, rho2 = sin(psi)
-    psi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 257)
-    bvals = rate_of(np.cos(psi), np.sin(psi))
-    k = int(np.argmax(bvals))
-    lo, hi = psi[max(k - 1, 0)], psi[min(k + 1, psi.size - 1)]
-    pstar, _ = _golden_max(lambda p: rate_of(np.cos(p), np.sin(p)),
-                           np.array([lo]), np.array([hi]), 70)
-    seeds.append((1.0, float(pstar[0]) % (2.0 * math.pi)))
-
-    def neg(x):
-        rc = min(max(x[0], 0.0), 1.0)
-        return -float(rate_of(rc * math.cos(x[1]), rc * math.sin(x[1])))
-
-    best_val, best_rho = -math.inf, (0.0, 0.0)
-    for r0, t0 in seeds:
-        res = minimize(neg, x0=np.array([r0, t0]), method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600})
-        rc = min(max(res.x[0], 0.0), 1.0)
-        cand = (rc * math.cos(res.x[1]), rc * math.sin(res.x[1]))
-        val = float(rate_of(*cand))
-        if val > best_val:
-            best_val, best_rho = val, cand
-
-    silent = float(rate_of(0.0, 0.0))
-    if silent >= best_val - 1e-10:
+    psi, best = _arc_max(g, P, d, ch, base)
+    silent = float(_rates(g, P, 0.0, 0.0, d, ch, base))
+    if silent >= float(best) - 1e-10:
         return 0.0, 0.0, silent
-    return (*_into_disk(*best_rho), best_val)
+    return (*_into_disk(float(np.cos(psi)), float(np.sin(psi))), float(best))
 
 
 #: Budget-matching tolerance of the bisection; residual slack is closed by top-up.
@@ -222,14 +200,15 @@ BISECT_TOL = 1e-6
 
 def _dual_solve(respond: Callable[[float], _Response], weights: np.ndarray,
                 budget: float, hint: tuple[float, float] | None = None,
-                tol: float = BISECT_TOL, gap_fallback: bool = True
+                tol: float = BISECT_TOL
                 ) -> tuple[_Response, float, tuple[float, float], tuple[str, ...]]:
     """Bisection on the power multiplier; returns a budget-feasible response.
 
     hint is a (lo, hi) multiplier bracket from a nearby solve; the returned
-    bracket can seed the next one.
+    bracket can seed the next one. A response whose power still misses the
+    budget by more than GAP_WARN (it jumps across the final bracket) comes
+    with a "duality gap" warning; _finalize's top-up spends the slack.
     """
-    warnings: list[str] = []
 
     def power_of(resp: _Response) -> float:
         return float(weights @ resp.power)
@@ -264,20 +243,10 @@ def _dual_solve(respond: Callable[[float], _Response], weights: np.ndarray,
         else:
             lo = mid
 
-    if gap_fallback and abs(p_hi - budget) > GAP_WARN * budget:
-        # non-concave subproblem: fine multiplier grid, best feasible primal kept
-        warnings.append(
-            f"duality gap: primal power {p_hi:.6g} vs budget {budget:.6g} at lam={hi:.6g}")
-        best_val = float(weights @ resp_hi.value)
-        for lam in np.geomspace(max(hi * 0.25, 1e-12), hi * 4.0, 200):
-            cand = respond(float(lam))
-            if power_of(cand) <= budget * (1.0 + BUDGET_TOL):
-                v = float(weights @ cand.value)
-                if v > best_val:
-                    best_val, resp_hi, hi = v, cand, float(lam)
-        lo = hi * 0.5
-
-    return resp_hi, hi, (lo, hi), tuple(warnings)
+    warns: tuple[str, ...] = ()
+    if abs(p_hi - budget) > GAP_WARN * budget:
+        warns = (f"duality gap: primal power {p_hi:.6g} vs budget {budget:.6g} at lam={hi:.6g}",)
+    return resp_hi, hi, (lo, hi), warns
 
 
 def _top_up(resp: _Response, weights: np.ndarray, budget: float, lam: float,
@@ -387,21 +356,20 @@ def _solve_fixed(g, w, p_cands, d, budget, ch, base):
     rho2_grid = np.linspace(-1.0, 1.0, 49)
     bracket_hint: dict[str, tuple[float, float] | None] = {"value": None}
 
-    def dual_at(rho2: float, polish: int, tol: float = BISECT_TOL,
-                gap_fallback: bool = True):
+    def dual_at(rho2: float, polish: int, tol: float = BISECT_TOL):
         rho1 = _boundary_rho1(rho2)
         table = _rates(g[:, None], p_cands[None, :], rho1, rho2, d, ch, base)
         resp, lam, bracket, warns = _dual_solve(
             lambda lam_: _fixed_response(g, p_cands, d, ch, base, rho1, rho2,
                                          table, lam_, polish),
-            w, budget, hint=bracket_hint["value"], tol=tol, gap_fallback=gap_fallback)
+            w, budget, hint=bracket_hint["value"], tol=tol)
         # widened so the next solve's multiplier usually falls inside
         bracket_hint["value"] = (bracket[0] * 0.997, bracket[1] * 1.003)
         return resp, lam, warns, rho1, rho2, table
 
     def value_at(rho2: float, polish: int, tol: float = BISECT_TOL) -> float:
         # the top-up makes the value smooth in rho2 despite the loose bisection
-        resp, lam, _, rho1, _, _ = dual_at(rho2, polish, tol, gap_fallback=False)
+        resp, lam, _, rho1, _, _ = dual_at(rho2, polish, tol)
         resp = _top_up(resp, w, budget, lam,
                        lambda P, r1x, r2x: _rates(g, P, rho1, rho2, d, ch, base))
         return float(w @ resp.value)
@@ -457,31 +425,12 @@ def _solve_adaptive(g, w, p_cands, d, budget, ch, base):
                                         lam_, 55, rounds=2),
         w, budget, lam,
         lambda P, r1x, r2x: _rates(g, P, r1x, r2x, d, ch, base))
-    return resp, lam, warns
-
-
-def _uniform_candidate(g, w, d, budget, ch, base, mode, resp) -> _Response:
-    """Profile P(g) = budget everywhere (meets the budget with equality)."""
-    n = g.size
-    p_uni = np.full(n, budget)
-    if mode == "fixed-rho":
-        r1, r2 = float(resp.rho1[0]), float(resp.rho2[0])
-        return _Response(_rates(g, p_uni, r1, r2, d, ch, base), p_uni,
-                         np.full(n, r1), np.full(n, r2))
-
-    def over_rho2(r2x):
-        r1x = _boundary_rho1(r2x)
-        return _rates(g, p_uni, r1x, r2x, d, ch, base)
-
-    grid = np.linspace(-1.0, 1.0, 65)
-    r1g = _boundary_rho1(grid)
-    vals = _rates(g[:, None], p_uni[:, None], r1g[None, :], grid[None, :], d, ch, base)
-    idx = np.argmax(vals, axis=1)
-    lo = grid[np.maximum(idx - 1, 0)]
-    hi = grid[np.minimum(idx + 1, grid.size - 1)]
-    r2, _ = _golden_max(over_rho2, lo, hi, 55)
-    r1 = _boundary_rho1(r2)
-    return _Response(_rates(g, p_uni, r1, r2, d, ch, base), p_uni, r1, r2)
+    # escalation and top-up move the powers off those the rho pairs were fitted at
+    psi, best = _arc_max(g, resp.power, d, ch, base)
+    fit = best > resp.value
+    return _Response(np.where(fit, best, resp.value), resp.power,
+                     np.where(fit, np.cos(psi), resp.rho1),
+                     np.where(fit, np.sin(psi), resp.rho2)), lam, warns
 
 
 def maximize_rate(ch: ChannelParams, fading: FadingModel, d: float, P_budget: float,
@@ -513,10 +462,6 @@ def maximize_rate(ch: ChannelParams, fading: FadingModel, d: float, P_budget: fl
         resp, lam, warns = _solve_fixed(g, w, p_cands, d, P_budget, ch, base)
     else:
         resp, lam, warns = _solve_adaptive(g, w, p_cands, d, P_budget, ch, base)
-
-    uni = _uniform_candidate(g, w, d, P_budget, ch, base, mode, resp)
-    if float(w @ uni.value) > float(w @ resp.value):
-        resp, lam = uni, 0.0
 
     # the rate at P = 0 is rho-independent: canonicalize silent nodes to (0, 0)
     zero = resp.power == 0.0
@@ -589,16 +534,15 @@ def rd_frontier(ch: ChannelParams, fading: FadingModel, P_budget: float,
             raw.append(FrontierPoint(D=d, R=best.R, policy=best.policy,
                                      d_used=best.d_used, mode=mode))
     if not raw:
-        return Frontier(points=(), envelope=True)
+        return Frontier(points=())
 
     env_d = {pt[0] for pt in concave_envelope([(p.D, p.R) for p in raw])}
-    return Frontier(points=tuple(p for p in raw if p.D in env_d), envelope=True)
+    return Frontier(points=tuple(p for p in raw if p.D in env_d))
 
 
 def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target: float,
               mode: str = "fixed-rho", nodes: int = 64, base: float = 2.0,
-              p_cap: float = POWER_CAP, warm_lo: float | None = None,
-              envelope_check: bool = True) -> float:
+              p_cap: float = POWER_CAP, warm_lo: float | None = None) -> float:
     """Smallest average power budget attaining rate >= R_target at distortion <= D_target.
 
     A cold call brackets the root by factors of 4 from the noise power
@@ -636,7 +580,7 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
         if residual(lo) >= 0.0:
             return lo
         # gentler steps near a warm lower bound, growing to doubling
-        hi, step, max_step = max(lo, 1e-6), 1.3, 2.0
+        hi, step, max_step = lo, 1.3, 2.0
     else:
         step = max_step = 4.0
         lo = hi = min(ch.sigma_z2, p_cap)
@@ -650,15 +594,12 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
                 f"rate {R_target} at distortion {D_target} unreachable below budget {p_cap:g}")
         lo, hi = hi, min(hi * step, p_cap)
         step = min(step * 1.3, max_step)
-    root = float(brentq(residual, lo, hi, xtol=1e-12, rtol=1e-9, maxiter=200))
+    root = float(brentq(residual, lo, hi, xtol=1e-12 * ch.sigma_z2, rtol=1e-9, maxiter=200))
     if residual(root) < 0.0:
         # hi reaches the target, so the set is never empty
         root = min(p for (d, p), r in rates.items()
                    if d == D_target and p > root and r >= R_target)
-
-    if envelope_check:
-        root = _envelope_consistency(ch, R_target, D_target, root, rate_at)
-    return root
+    return _envelope_consistency(ch, R_target, D_target, root, rate_at)
 
 
 def _envelope_consistency(ch: ChannelParams, R_target: float, D_target: float,
@@ -682,7 +623,7 @@ def _envelope_consistency(ch: ChannelParams, R_target: float, D_target: float,
             break
         lo /= 2.0
     return float(brentq(lambda p: probe_env(p) - R_target, lo, root,
-                        xtol=1e-12, rtol=1e-9, maxiter=200))
+                        xtol=1e-12 * ch.sigma_z2, rtol=1e-9, maxiter=200))
 
 
 def power_distortion_curve(ch: ChannelParams, fading: FadingModel,
