@@ -120,6 +120,12 @@ def _frontier_rows(frontier, mode: str) -> list[list[str]]:
     return [[_fmt(p.D), _fmt(p.R), _fmt(p.d_used), mode] for p in frontier.points]
 
 
+def _frontier_warnings(frontier) -> list[dict]:
+    """The solver warnings of the frontier's points, for the manifest."""
+    return [{"D": p.D, "d_used": p.d_used, "warnings": list(p.warnings)}
+            for p in frontier.points if p.warnings]
+
+
 def cmd_region(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     ch = cfg.channel
@@ -131,7 +137,8 @@ def cmd_region(args: argparse.Namespace) -> int:
         return EXIT_EMPTY
     out = Path(args.out)
     _write_csv(out, ["D", "R_bits", "d_used", "mode"], _frontier_rows(frontier, args.mode))
-    extra: dict = {"points": args.points, "budget": ch.P_avg}
+    extra: dict = {"points": args.points, "budget": ch.P_avg,
+                   "warnings": _frontier_warnings(frontier)}
     if args.compare_static:
         static = rd_frontier(ch, Degenerate(1.0), ch.P_avg, grid=grid, mode=args.mode,
                              nodes=cfg.quadrature_nodes, base=cfg.log_base)
@@ -139,6 +146,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         _write_csv(static_out, ["D", "R_bits", "d_used", "mode"],
                    _frontier_rows(static, args.mode))
         extra["static_curve"] = static_out.name
+        extra["static_warnings"] = _frontier_warnings(static)
     _write_manifest(out, cfg, args, extra)
     return EXIT_OK
 

@@ -3,15 +3,18 @@
 Power allocation across fading states is solved by Lagrangian decomposition:
 for a multiplier lam each node maximizes rate - lam*P by grid search plus
 golden-section refinement, and lam is bisected to meet the average-power
-budget. The per-node rho search exploits that the rate is maximized on the
-disk boundary with rho1 = +sqrt(1 - rho2^2) whenever g^2 P > 0, so the rho
-dimension reduces to rho2 in [-1, 1]; degenerate flat cases are
-canonicalized to (0, 0). All searches are deterministic (fixed grids, fixed
-iteration counts, first-index tie-breaks).
+budget. The bisection runs on a batch of independent problems at once (in
+fixed-rho mode every (d, rho2) of a distortion grid), each with its own
+multiplier and stop test. The per-node rho search exploits that the rate is
+maximized on the disk boundary with rho1 = +sqrt(1 - rho2^2) whenever
+g^2 P > 0, so the rho dimension reduces to rho2 in [-1, 1]; degenerate flat
+cases are canonicalized to (0, 0). All searches are deterministic (fixed
+grids, fixed iteration counts, first-index tie-breaks).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,7 +24,7 @@ from scipy.optimize import brentq
 
 from .ergodic import make_rule
 from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy, in_disk
-from .rate_core import _clamp0, _rate_kernel
+from .rate_core import _rate_kernel
 
 MODES = ("fixed-rho", "adaptive-rho")
 
@@ -47,9 +50,8 @@ class UnreachableError(RuntimeError):
 
 
 def _rates(g, P, rho1, rho2, d: float, ch: ChannelParams, base: float):
-    """Per-state rate, broadcasting over array arguments."""
-    k11 = _clamp0(ch.Q - d)
-    return _rate_kernel(g, P, k11, d, rho1, rho2, ch.sigma_z2, base)
+    """Per-state rate, broadcasting over array arguments (d included; callers check d <= Q)."""
+    return _rate_kernel(g, P, ch.Q - d, d, rho1, rho2, ch.sigma_z2, base)
 
 
 def _golden_max(f: Callable, a, b, iters: int):
@@ -140,6 +142,8 @@ class FrontierPoint:
     policy: PerStatePolicy
     d_used: float
     mode: str
+    #: the solver warnings of the solve at d_used
+    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -197,124 +201,189 @@ def optimize_rho_per_state(g: float, P: float, d: float, ch: ChannelParams,
 #: Budget-matching tolerance of the bisection; residual slack is closed by top-up.
 BISECT_TOL = 1e-6
 
+#: Relative width of the multiplier bracket at which the bisection stops a
+#: problem whose power cannot meet the tolerance (it steps across the budget).
+BISECT_FLOOR = 1e-9
 
-def _dual_solve(respond: Callable[[float], _Response], weights: np.ndarray,
-                budget: float, hint: tuple[float, float] | None = None,
-                tol: float = BISECT_TOL
-                ) -> tuple[_Response, float, tuple[float, float], tuple[str, ...]]:
-    """Bisection on the power multiplier; returns a budget-feasible response.
+#: Largest (problems x nodes x power candidates) table the fixed-rho solver
+#: holds at once: a batch of problems is solved in chunks of this size, so
+#: the working set does not grow with the distortion grid.
+CHUNK_ELEMS = 2 ** 14
 
-    hint is a (lo, hi) multiplier bracket from a nearby solve; the returned
-    bracket can seed the next one. A response whose power still misses the
-    budget by more than GAP_WARN (it jumps across the final bracket) comes
-    with a "duality gap" warning; _finalize's top-up spends the slack.
+
+def _wsum(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sum over the node axis, one value per row.
+
+    Each row goes through the same 1-D dot as ``weights @ row``, so a
+    problem's sum does not depend on the batch it is solved in (a (B, n) @ w
+    gemv rounds differently).
     """
+    return (x[..., None, :] @ weights[:, None])[..., 0, 0]
 
-    def power_of(resp: _Response) -> float:
-        return float(weights @ resp.power)
 
-    resp0 = respond(0.0)
-    if power_of(resp0) <= budget * (1.0 + BUDGET_TOL):
-        return resp0, 0.0, (0.0, 0.0), ()
+def _take(new: _Response, old: _Response, rows: np.ndarray) -> _Response:
+    """The rows of new where rows is True, of old elsewhere."""
+    if rows.all():
+        return new
+    if not rows.any():
+        return old
+    r = rows[:, None]
+    return _Response(np.where(r, new.value, old.value), np.where(r, new.power, old.power),
+                     np.where(r, new.rho1, old.rho1), np.where(r, new.rho2, old.rho2))
 
-    lo, hi = (0.0, 1.0) if hint is None or hint[1] <= 0.0 else hint
+
+def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
+                budget: np.ndarray, hint: tuple[np.ndarray, np.ndarray] | None = None,
+                tol: float = BISECT_TOL, floor: float = BISECT_FLOOR
+                ) -> tuple[_Response, np.ndarray, tuple[np.ndarray, np.ndarray],
+                           tuple[tuple[str, ...], ...]]:
+    """Bisection on the power multipliers of a batch of independent problems.
+
+    respond maps one multiplier per problem to a _Response with one row per
+    problem; budget holds the problems' budgets. hint is a (lo, hi) pair of
+    multiplier vectors from nearby solves; the returned brackets can seed
+    the next ones. Each problem stops on its own test: its power within tol
+    of its budget, or its bracket narrower than floor relative, since the
+    response's power is a step function of the multiplier and may never meet
+    tol. A stopped problem is re-evaluated at its own multiplier, which
+    reproduces its response, so no result depends on the rest of the batch.
+    Returns budget-feasible responses, the multipliers, the brackets and per
+    problem a "duality gap" warning when its power still misses the budget
+    by more than GAP_WARN (it jumps across the final bracket); _finalize's
+    top-up spends the slack.
+    """
+    zero = np.zeros_like(budget)
+    resp = respond(zero)
+    free = _wsum(resp.power, weights) <= budget * (1.0 + BUDGET_TOL)
+    if free.all():
+        return resp, zero, (zero, zero), ((),) * budget.size
+
+    if hint is None:
+        lo, hi = zero, np.ones_like(budget)
+    else:
+        seeded = hint[1] > 0.0
+        lo, hi = np.where(seeded, hint[0], 0.0), np.where(seeded, hint[1], 1.0)
+    lo, hi = np.where(free, 0.0, lo), np.where(free, 0.0, hi)
     resp_hi = respond(hi)
+    p_hi = _wsum(resp_hi.power, weights)
     for _ in range(80):
-        if power_of(resp_hi) <= budget:
+        up = ~free & (p_hi > budget)
+        if not up.any():
             break
-        lo, hi = hi, 2.0 * hi
+        lo, hi = np.where(up, hi, lo), np.where(up, 2.0 * hi, hi)
         resp_hi = respond(hi)
-    while lo > 0.0:
-        resp_lo = respond(lo)
-        if power_of(resp_lo) > budget:
-            break
-        hi, resp_hi = lo, resp_lo
-        lo = 0.0 if lo < 1e-12 else lo / 2.0
-    p_hi = power_of(resp_hi)
+        p_hi = _wsum(resp_hi.power, weights)
+    down = lo > 0.0
+    while down.any():
+        resp = respond(np.where(down, lo, hi))
+        p = _wsum(resp.power, weights)
+        move = down & (p <= budget)
+        resp_hi = _take(resp, resp_hi, move | ~down)
+        p_hi = np.where(move, p, p_hi)
+        hi = np.where(move, lo, hi)
+        lo = np.where(move, np.where(lo < 1e-12, 0.0, lo / 2.0), lo)
+        down = move & (lo > 0.0)
 
     for _ in range(70):
-        if abs(p_hi - budget) <= tol * budget or hi - lo <= 1e-9 * hi:
+        done = (np.abs(p_hi - budget) <= tol * budget) | (hi - lo <= floor * hi)
+        if done.all():
             break
-        mid = 0.5 * (lo + hi)
+        mid = np.where(done, hi, 0.5 * (lo + hi))
         resp_mid = respond(mid)
-        p_mid = power_of(resp_mid)
-        if p_mid <= budget:
-            hi, resp_hi, p_hi = mid, resp_mid, p_mid
-        else:
-            lo = mid
+        p_mid = _wsum(resp_mid.power, weights)
+        take = done | (p_mid <= budget)
+        resp_hi = _take(resp_mid, resp_hi, take)
+        lo, hi = np.where(take, lo, mid), np.where(take, mid, hi)
+        p_hi = np.where(take, p_mid, p_hi)
 
-    warns: tuple[str, ...] = ()
-    if abs(p_hi - budget) > GAP_WARN * budget:
-        warns = (f"duality gap: primal power {p_hi:.6g} vs budget {budget:.6g} at lam={hi:.6g}",)
+    gap = ~free & (np.abs(p_hi - budget) > GAP_WARN * budget)
+    warns = tuple((f"duality gap: primal power {p:.6g} vs budget {b:.6g} at lam={h:.6g}",)
+                  if miss else () for miss, p, b, h in zip(gap, p_hi, budget, hi))
     return resp_hi, hi, (lo, hi), warns
 
 
-def _top_up(resp: _Response, weights: np.ndarray, budget: float, lam: float,
+def _top_up(resp: _Response, weights: np.ndarray, budget: np.ndarray, lam: np.ndarray,
             rebuild: Callable) -> _Response:
-    """Spend residual budget slack uniformly on the powered nodes.
+    """Spend each problem's residual budget slack uniformly on its powered nodes.
 
     At the dual optimum every powered node has marginal rate lam > 0, so the
     uniform increment raises the rate by ~lam*slack and the remaining
-    suboptimality is second order in the slack.
+    suboptimality is second order in the slack. A problem keeps its response
+    when the increment does not raise its rate.
     """
-    if lam <= 0.0:
+    slack = budget - _wsum(resp.power, weights)
+    rows = (lam > 0.0) & (slack > 0.0)
+    if not rows.any():
         return resp
-    slack = budget - float(weights @ resp.power)
-    if slack <= 0.0:
-        return resp
-    active = resp.power > 0.0
     power = resp.power.copy()
-    w_active = float(weights[active].sum())
-    if w_active > 0.0:
-        power[active] += slack / w_active
-    else:
-        gains = rebuild(np.where(weights > 0, slack / weights, 0.0), resp.rho1, resp.rho2)
-        i = int(np.argmax(gains - resp.value))
-        if gains[i] <= resp.value[i]:
-            return resp
-        power[i] = slack / weights[i]
+    active = power > 0.0
+    for b in np.flatnonzero(rows):
+        w_active = float(weights[active[b]].sum())
+        if w_active > 0.0:
+            power[b, active[b]] += slack[b] / w_active
+            continue
+        gains = rebuild(np.where(weights > 0, slack[:, None] / weights, 0.0),
+                        resp.rho1, resp.rho2)[b]
+        i = int(np.argmax(gains - resp.value[b]))
+        if gains[i] <= resp.value[b, i]:
+            rows[b] = False
+            continue
+        power[b, i] = slack[b] / weights[i]
     cand = _Response(rebuild(power, resp.rho1, resp.rho2), power, resp.rho1, resp.rho2)
-    if float(weights @ cand.value) >= float(weights @ resp.value):
-        return cand
-    return resp
+    return _take(cand, resp, rows & (_wsum(cand.value, weights) >= _wsum(resp.value, weights)))
 
 
-def _finalize(respond_full: Callable[[float], _Response], weights: np.ndarray,
-              budget: float, lam: float, rebuild: Callable) -> tuple[_Response, float]:
-    """Full-polish response at lam, escalate lam until the budget holds, top up slack."""
+def _finalize(respond_full: Callable[[np.ndarray], _Response], weights: np.ndarray,
+              budget: np.ndarray, lam: np.ndarray, rebuild: Callable
+              ) -> tuple[_Response, np.ndarray]:
+    """Full-polish responses at lam, escalate each lam until its budget holds, top up slack."""
     resp = respond_full(lam)
     for k in range(60):
-        if budget <= 0 or float(weights @ resp.power) <= budget * (1.0 + BUDGET_TOL):
+        over = _wsum(resp.power, weights) > budget * (1.0 + BUDGET_TOL)
+        if not over.any():
             break
-        lam = (lam if lam > 0 else 1e-12) * (1.0 + 1e-7 * 2.0 ** k)
+        lam = np.where(over, np.where(lam > 0, lam, 1e-12) * (1.0 + 1e-7 * 2.0 ** k), lam)
+        # the problems whose lam stays re-evaluate to their response
         resp = respond_full(lam)
     return _top_up(resp, weights, budget, lam, rebuild), lam
 
 
-def _fixed_response(g: np.ndarray, p_cands: np.ndarray, d: float, ch: ChannelParams,
-                    base: float, rho1: float, rho2: float, table: np.ndarray,
-                    lam: float, polish: int) -> _Response:
-    """Best power per node at shared (rho1, rho2) under multiplier lam."""
-    score = table - lam * p_cands[None, :]
+def _fixed_response(g: np.ndarray, p_cands: np.ndarray, d: np.ndarray, ch: ChannelParams,
+                    base: float, rho1: np.ndarray, rho2: np.ndarray, table: np.ndarray,
+                    lam: np.ndarray, polish: int) -> _Response:
+    """Best power per node of each problem at its shared (rho1, rho2) under its multiplier.
+
+    table holds each problem's rates on the (nodes x power candidates) grid
+    and lam one multiplier per problem; g, d, rho1 and rho2 are given per
+    (problem, node) row, so that every rate evaluation is on flat arrays.
+    """
+    b, n, m = table.shape
+    score = (table - (lam[:, None] * p_cands)[:, None, :]).reshape(b * n, m)
     idx = np.argmax(score, axis=1)
-    rows = np.arange(g.size)
+    rows = np.arange(b * n)
     p_best = p_cands[idx]
-    v_best = table[rows, idx]
-    if polish > 0 and p_cands.size > 1:
+    v_best = table.reshape(b * n, m)[rows, idx]
+    if polish > 0 and m > 1:
+        lam_r = np.repeat(lam, n)
         lo = p_cands[np.maximum(idx - 1, 0)]
-        hi = p_cands[np.minimum(idx + 1, p_cands.size - 1)]
+        hi = p_cands[np.minimum(idx + 1, m - 1)]
         p_ref, s_ref = _golden_max(
-            lambda P: _rates(g, P, rho1, rho2, d, ch, base) - lam * P, lo, hi, polish)
+            lambda P: _rates(g, P, rho1, rho2, d, ch, base) - lam_r * P, lo, hi, polish)
         better = s_ref > score[rows, idx]
         p_best = np.where(better, p_ref, p_best)
         v_best = np.where(better, _rates(g, p_best, rho1, rho2, d, ch, base), v_best)
-    return _Response(v_best, p_best, np.full(g.size, rho1), np.full(g.size, rho2))
+    return _Response(v_best.reshape(b, n), p_best.reshape(b, n),
+                     rho1.reshape(b, n), rho2.reshape(b, n))
 
 
 def _adaptive_response(g: np.ndarray, p_cands: np.ndarray, d: float, ch: ChannelParams,
                        base: float, table3: np.ndarray, rho2_grid: np.ndarray,
-                       lam: float, polish: int, rounds: int) -> _Response:
-    """Best (P, rho2) per node under multiplier lam, rho1 on the disk boundary."""
+                       lam: np.ndarray, polish: int, rounds: int) -> _Response:
+    """Best (P, rho2) per node under multiplier lam, rho1 on the disk boundary.
+
+    A batch of one problem: lam has shape (1,), the response one row.
+    """
+    lam = lam[0]
     n, m, k = table3.shape
     score = table3 - lam * p_cands[None, :, None]
     idx = np.argmax(score.reshape(n, m * k), axis=1)
@@ -348,65 +417,99 @@ def _adaptive_response(g: np.ndarray, p_cands: np.ndarray, d: float, ch: Channel
             r1 = _boundary_rho1(r2)
             s_best = np.where(upd, s_ref2, s_best)
     v_best = s_best + lam * p_best
-    return _Response(v_best, p_best, r1, r2)
+    return _Response(v_best[None], p_best[None], r1[None], r2[None])
 
 
-def _solve_fixed(g, w, p_cands, d, budget, ch, base):
-    """Shared-(rho1, rho2) mode: coarse rho2 scan, then golden refinement of the best basins."""
+def _solve_fixed(g, w, p_cands, ds, budget, ch, base):
+    """Shared-(rho1, rho2) mode for every distortion in ds at once.
+
+    Per distortion: a 49-point coarse rho2 scan, golden refinement of the
+    best one or two basins, and a final BISECT_TOL solve of each basin; each
+    stage is one batched multiplier bisection over its independent (d, rho2)
+    problems, CHUNK_ELEMS table elements at a time. Returns the responses
+    (one row per distortion), multipliers and warnings of the best basins.
+    """
     rho2_grid = np.linspace(-1.0, 1.0, 49)
-    bracket_hint: dict[str, tuple[float, float] | None] = {"value": None}
+    step = max(1, CHUNK_ELEMS // (g.size * p_cands.size))
 
-    def dual_at(rho2: float, polish: int, tol: float = BISECT_TOL):
-        rho1 = _boundary_rho1(rho2)
-        table = _rates(g[:, None], p_cands[None, :], rho1, rho2, d, ch, base)
-        resp, lam, bracket, warns = _dual_solve(
-            lambda lam_: _fixed_response(g, p_cands, d, ch, base, rho1, rho2,
-                                         table, lam_, polish),
-            w, budget, hint=bracket_hint["value"], tol=tol)
+    def solve(d, rho2, polish, tol, floor=BISECT_FLOOR, hint=None, final=False):
+        """Solves (top-up included) of problems (d, rho2): values, widened brackets
+        and, when final, the (resp, lam, warns) of each chunk."""
+        values, los, his, chunks = [], [], [], []
+        for c in (slice(s, s + step) for s in range(0, d.size, step)):
+            dc, r2 = d[c], rho2[c]
+            r1 = _boundary_rho1(r2)
+            # built problem by problem: the kernel's temporaries are table-sized
+            table = np.empty((dc.size, g.size, p_cands.size))
+            for i in range(dc.size):
+                table[i] = _rates(g[:, None], p_cands, r1[i], r2[i], dc[i], ch, base)
+            budgets = np.full(dc.size, budget)
+            # one entry per (problem, node) row
+            g_r, d_r = np.tile(g, dc.size), np.repeat(dc, g.size)
+            r1_r, r2_r = np.repeat(r1, g.size), np.repeat(r2, g.size)
+
+            def respond(lam, polish=polish):
+                return _fixed_response(g_r, p_cands, d_r, ch, base, r1_r, r2_r, table, lam,
+                                       polish)
+
+            def rebuild(P, r1x, r2x):
+                return _rates(g_r, P.reshape(-1), r1_r, r2_r, d_r, ch, base).reshape(P.shape)
+
+            resp, lam, (lo, hi), warns = _dual_solve(
+                respond, w, budgets, hint=None if hint is None else (hint[0][c], hint[1][c]),
+                tol=tol, floor=floor)
+            if final:
+                resp, lam = _finalize(lambda lam_: respond(lam_, 60), w, budgets, lam, rebuild)
+                chunks.append((resp, lam, warns))
+            else:
+                # the top-up makes the value smooth in rho2 despite the loose bisection
+                resp = _top_up(resp, w, budgets, lam, rebuild)
+            values.append(_wsum(resp.value, w))
+            los.append(lo)
+            his.append(hi)
         # widened so the next solve's multiplier usually falls inside
-        bracket_hint["value"] = (bracket[0] * 0.997, bracket[1] * 1.003)
-        return resp, lam, warns, rho1, rho2, table
+        return (np.concatenate(values),
+                (np.concatenate(los) * 0.997, np.concatenate(his) * 1.003), chunks)
 
-    def value_at(rho2: float, polish: int, tol: float = BISECT_TOL) -> float:
-        # the top-up makes the value smooth in rho2 despite the loose bisection
-        resp, lam, _, rho1, _, _ = dual_at(rho2, polish, tol)
-        resp = _top_up(resp, w, budget, lam,
-                       lambda P, r1x, r2x: _rates(g, P, rho1, rho2, d, ch, base))
-        return float(w @ resp.value)
+    k = rho2_grid.size
+    # the scan only ranks the grid's rho2 values, and its unpolished responses
+    # never meet a power tolerance: a loose floor ends each bisection early
+    coarse, coarse_hint, _ = solve(np.repeat(ds, k), np.tile(rho2_grid, ds.size), 0, 1e-3,
+                                   floor=1e-6)
+    coarse = coarse.reshape(ds.size, k)
+    owner, basins = [], []
+    for i, row in enumerate(coarse):
+        order = np.argsort(-row)
+        picked = [int(order[0])]
+        for idx in order[1:]:
+            if all(abs(int(idx) - b) > 2 for b in picked) and row[idx] >= row[order[0]] - 2e-3:
+                picked.append(int(idx))
+            if len(picked) == 2:
+                break
+        owner += [i] * len(picked)
+        basins += picked
+    owner, basins = np.array(owner), np.array(basins)
+    d = ds[owner]
+    flat = owner * k + basins
+    hint = (coarse_hint[0][flat], coarse_hint[1][flat])
 
-    coarse = np.array([value_at(float(r2), 0, tol=1e-3) for r2 in rho2_grid])
-    order = np.argsort(-coarse)
-    basins = [int(order[0])]
-    for idx in order[1:]:
-        if all(abs(int(idx) - b) > 2 for b in basins) and \
-                coarse[idx] >= coarse[order[0]] - 2e-3:
-            basins.append(int(idx))
-        if len(basins) == 2:
-            break
+    def refine(r2):
+        nonlocal hint
+        values, hint, _ = solve(d, r2, 8, 2e-4, hint=hint)
+        return values
 
-    best: tuple[float, _Response, float, tuple, float] | None = None
-    for bidx in basins:
-        lo = rho2_grid[max(bidx - 1, 0)]
-        hi = rho2_grid[min(bidx + 1, rho2_grid.size - 1)]
-        r2v, _ = _golden_max(
-            lambda r2: np.array([value_at(float(x), 8, tol=2e-4) for x in r2]),
-            np.array([lo]), np.array([hi]), 16)
-        r2 = float(r2v[0])
-        resp, lam, warns, rho1, rho2, table = dual_at(r2, 18)
-
-        def rebuild(P, r1x, r2x, rho1=rho1, rho2=rho2):
-            return _rates(g, P, rho1, rho2, d, ch, base)
-
-        resp, lam = _finalize(
-            lambda lam_: _fixed_response(g, p_cands, d, ch, base, rho1, rho2,
-                                         table, lam_, 60),
-            w, budget, lam, rebuild)
-        val = float(w @ resp.value)
-        if best is None or val > best[0]:
-            best = (val, resp, lam, warns, r2)
-
-    _, resp, lam, warns, _ = best
-    return resp, lam, warns
+    r2, _ = _golden_max(refine, rho2_grid[np.maximum(basins - 1, 0)],
+                        rho2_grid[np.minimum(basins + 1, k - 1)], 16)
+    values, _, chunks = solve(d, r2, 18, BISECT_TOL, hint=hint, final=True)
+    resp = _Response(*(np.concatenate([getattr(c[0], f) for c in chunks])
+                       for f in ("value", "power", "rho1", "rho2")))
+    lam = np.concatenate([c[1] for c in chunks])
+    warns = [wn for c in chunks for wn in c[2]]
+    # the first basin wins ties
+    best = np.array([np.flatnonzero(owner == i)[np.argmax(values[owner == i])]
+                     for i in range(ds.size)])
+    resp = _Response(resp.value[best], resp.power[best], resp.rho1[best], resp.rho2[best])
+    return resp, lam[best], tuple(warns[b] for b in best)
 
 
 def _solve_adaptive(g, w, p_cands, d, budget, ch, base):
@@ -415,15 +518,16 @@ def _solve_adaptive(g, w, p_cands, d, budget, ch, base):
     rho1_grid = _boundary_rho1(rho2_grid)
     table3 = _rates(g[:, None, None], p_cands[None, :, None],
                     rho1_grid[None, None, :], rho2_grid[None, None, :], d, ch, base)
+    budgets = np.array([budget])
 
     resp, lam, _, warns = _dual_solve(
         lambda lam_: _adaptive_response(g, p_cands, d, ch, base, table3, rho2_grid,
                                         lam_, 18, rounds=0),
-        w, budget)
+        w, budgets)
     resp, lam = _finalize(
         lambda lam_: _adaptive_response(g, p_cands, d, ch, base, table3, rho2_grid,
                                         lam_, 55, rounds=2),
-        w, budget, lam,
+        w, budgets, lam,
         lambda P, r1x, r2x: _rates(g, P, r1x, r2x, d, ch, base))
     # escalation and top-up move the powers off those the rho pairs were fitted at
     psi, best = _arc_max(g, resp.power, d, ch, base)
@@ -433,49 +537,69 @@ def _solve_adaptive(g, w, p_cands, d, budget, ch, base):
                      np.where(fit, np.sin(psi), resp.rho2)), lam, warns
 
 
-def maximize_rate(ch: ChannelParams, fading: FadingModel, d: float, P_budget: float,
-                  mode: str = "fixed-rho", nodes: int = 64,
-                  base: float = 2.0) -> RateSolution:
-    """Maximize the expected rate at distortion parameter d under E_G[P(G)] <= P_budget."""
+def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
+                P_budget: float, mode: str, nodes: int, base: float) -> list[RateSolution]:
+    """maximize_rate at each distortion of ds; fixed-rho solves them as one batch."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")
     ch.validate()
-    if not (ch.d_min <= d <= ch.Q):
-        raise ConfigError(f"d={d} outside [{ch.d_min:g}, {ch.Q}]")
+    for d in ds:
+        if not (ch.d_min <= d <= ch.Q):
+            raise ConfigError(f"d={d} outside [{ch.d_min:g}, {ch.Q}]")
     if P_budget < 0:
         raise ConfigError("P_budget must be nonnegative")
+    if not ds:
+        return []
 
     rule = make_rule(fading, nodes)
     g = np.array(rule.nodes)
     w = np.array(rule.weights)
 
     if P_budget <= 0.0:
-        node_rates = np.atleast_1d(_rates(g, 0.0, 0.0, 0.0, d, ch, base))
-        rate0 = float(w @ node_rates)
-        policy = PerStatePolicy.silent(rule.nodes, rule.weights)
-        return RateSolution(rate=rate0, policy=policy, feasible=rate0 >= 0.0,
-                            mode=mode, d=d, lam=0.0, power=0.0,
-                            per_node_kappa=tuple(bool(v >= 0.0) for v in node_rates))
+        out = []
+        for d in ds:
+            node_rates = np.atleast_1d(_rates(g, 0.0, 0.0, 0.0, d, ch, base))
+            rate0 = float(w @ node_rates)
+            out.append(RateSolution(
+                rate=rate0, policy=PerStatePolicy.silent(rule.nodes, rule.weights),
+                feasible=rate0 >= 0.0, mode=mode, d=d, lam=0.0, power=0.0,
+                per_node_kappa=tuple(bool(v >= 0.0) for v in node_rates)))
+        return out
 
     p_cands = _power_candidates(P_budget)
     if mode == "fixed-rho":
-        resp, lam, warns = _solve_fixed(g, w, p_cands, d, P_budget, ch, base)
+        resp, lam, warns = _solve_fixed(g, w, p_cands, np.array(ds, dtype=float),
+                                        P_budget, ch, base)
+        solved = [(resp, b, lam[b], warns[b]) for b in range(len(ds))]
     else:
-        resp, lam, warns = _solve_adaptive(g, w, p_cands, d, P_budget, ch, base)
+        solved = []
+        for d in ds:
+            resp, lam, warns = _solve_adaptive(g, w, p_cands, d, P_budget, ch, base)
+            solved.append((resp, 0, lam[0], warns[0]))
 
-    # the rate at P = 0 is rho-independent: canonicalize silent nodes to (0, 0)
-    zero = resp.power == 0.0
-    rho1 = np.where(zero, 0.0, resp.rho1)
-    rho2 = np.where(zero, 0.0, resp.rho2)
-    # the solvers' x*x disk tests can pass pairs that the policy's checks reject
-    rho1, rho2 = zip(*(_into_disk(float(a), float(b)) for a, b in zip(rho1, rho2)))
+    out = []
+    for d, (resp, b, lam, warns) in zip(ds, solved):
+        power, value = resp.power[b], resp.value[b]
+        # the rate at P = 0 is rho-independent: canonicalize silent nodes to (0, 0)
+        zero = power == 0.0
+        rho1 = np.where(zero, 0.0, resp.rho1[b])
+        rho2 = np.where(zero, 0.0, resp.rho2[b])
+        # the solvers' x*x disk tests can pass pairs that the policy's checks reject
+        rho1, rho2 = zip(*(_into_disk(float(a), float(c)) for a, c in zip(rho1, rho2)))
+        rate = float(w @ value)
+        policy = PerStatePolicy(rule.nodes, rule.weights, tuple(power), rho1, rho2)
+        out.append(RateSolution(rate=rate, policy=policy, feasible=rate >= 0.0, mode=mode,
+                                d=d, lam=float(lam), power=float(w @ power),
+                                per_node_kappa=tuple(bool(v >= 0.0) for v in value),
+                                warnings=warns))
+    return out
 
-    value = float(w @ resp.value)
-    policy = PerStatePolicy(rule.nodes, rule.weights, tuple(resp.power), rho1, rho2)
-    return RateSolution(rate=value, policy=policy, feasible=value >= 0.0, mode=mode,
-                        d=d, lam=lam, power=float(w @ resp.power),
-                        per_node_kappa=tuple(bool(v >= 0.0) for v in resp.value),
-                        warnings=warns)
+
+def maximize_rate(ch: ChannelParams, fading: FadingModel, d: float, P_budget: float,
+                  mode: str = "fixed-rho", nodes: int = 64,
+                  base: float = 2.0) -> RateSolution:
+    """Maximize the expected rate at distortion parameter d under E_G[P(G)] <= P_budget."""
+    return _solve_grid(ch, fading, [d], P_budget, mode, nodes, base)[0]
 
 
 def concave_envelope(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -514,9 +638,11 @@ def rd_frontier(ch: ChannelParams, fading: FadingModel, P_budget: float,
                 nodes: int = 64, base: float = 2.0) -> Frontier:
     """Trace the rate-distortion frontier over a distortion grid and envelope it.
 
-    Points with a negative optimal expected rate are infeasible and skipped;
-    the running best over smaller d realizes D >= d_used, so rates are
-    nondecreasing before the envelope is taken.
+    Each grid point is maximize_rate at that d; fixed-rho mode solves the
+    whole grid as one batch, with the same results. Points with a negative
+    optimal expected rate are infeasible and skipped; the running best over
+    smaller d realizes D >= d_used, so rates are nondecreasing before the
+    envelope is taken. A point carries the warnings of the solve at d_used.
     """
     if grid is None:
         grid = np.geomspace(DEFAULT_GRID_FLOOR * ch.Q, ch.Q, DEFAULT_GRID_POINTS)
@@ -526,13 +652,12 @@ def rd_frontier(ch: ChannelParams, fading: FadingModel, P_budget: float,
 
     raw: list[FrontierPoint] = []
     best: FrontierPoint | None = None
-    for d in grid:
-        sol = maximize_rate(ch, fading, d, P_budget, mode=mode, nodes=nodes, base=base)
+    for d, sol in zip(grid, _solve_grid(ch, fading, grid, P_budget, mode, nodes, base)):
         if sol.feasible and (best is None or sol.rate > best.R):
-            best = FrontierPoint(D=d, R=sol.rate, policy=sol.policy, d_used=d, mode=mode)
+            best = FrontierPoint(D=d, R=sol.rate, policy=sol.policy, d_used=d, mode=mode,
+                                 warnings=sol.warnings)
         if best is not None:
-            raw.append(FrontierPoint(D=d, R=best.R, policy=best.policy,
-                                     d_used=best.d_used, mode=mode))
+            raw.append(dataclasses.replace(best, D=d))
     if not raw:
         return Frontier(points=())
 

@@ -79,6 +79,22 @@ def test_region_csv_and_manifest(tmp_path, config_path):
             assert static_rates[d] >= r - 1e-9
 
 
+def test_region_manifest_lists_solver_warnings(tmp_path):
+    # a Rayleigh-8 solve at d = Q and budget 0.1 ends with a duality-gap warning
+    cfg = dict(REFERENCE_CONFIG, P_avg=0.1, quadrature_nodes=8)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "region.csv"
+    assert main(["region", "--config", str(path), "--points", "2", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "region.csv.manifest.json").read_text())
+    assert [(w["D"], w["d_used"]) for w in manifest["warnings"]] == [(1.0, 1.0)]
+    assert manifest["warnings"][0]["warnings"][0].startswith("duality gap")
+    # the warnings stay out of the CSV
+    lines = out.read_text().splitlines()
+    assert lines[0] == "D,R_bits,d_used,mode"
+    assert all(len(ln.split(",")) == 4 for ln in lines)
+
+
 def test_region_byte_determinism(tmp_path, config_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["region", "--config", config_path, "--points", "6", "--out", str(out1)]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from fadingcr import optimize
 from fadingcr.model import (ChannelParams, CodingParams, ConfigError, Degenerate, Discrete,
                             PerStatePolicy, Rayleigh, in_disk)
 from fadingcr.ergodic import avg_power, ergodic_rate, make_rule
-from fadingcr.optimize import (UnreachableError, _into_disk, _rates, concave_envelope,
-                               maximize_rate, min_power, optimize_rho_per_state,
-                               power_distortion_curve, rd_frontier)
+from fadingcr.optimize import (BISECT_TOL, UnreachableError, _dual_solve, _into_disk, _rates,
+                               _Response, concave_envelope, maximize_rate, min_power,
+                               optimize_rho_per_state, power_distortion_curve, rd_frontier)
 
 CH = ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=2.5)
 
@@ -345,3 +346,81 @@ def test_adaptive_policy_passes_its_own_disk_check():
     sol = maximize_rate(ch, Rayleigh(), d, ch.P_avg, mode="adaptive-rho", nodes=128)
     rule = make_rule(Rayleigh(), 128)
     assert ergodic_rate(rule, sol.policy, d, ch) == pytest.approx(sol.rate, abs=1e-12)
+
+
+@pytest.mark.parametrize("fading", [Rayleigh(), Degenerate(1.0),
+                                    Discrete(points=(0.3, 1.0, 2.2), probs=(0.2, 0.5, 0.3))],
+                         ids=["rayleigh", "degenerate", "discrete"])
+def test_frontier_points_equal_single_solves(fading):
+    # rd_frontier solves its grid as one batch; each point must be the batch of one
+    fr = rd_frontier(CH, fading, 2.5, grid=np.geomspace(0.05, 1.0, 6), nodes=16)
+    for p in fr.points:
+        sol = maximize_rate(CH, fading, p.d_used, 2.5, nodes=16)
+        assert p.R == sol.rate
+        assert p.policy == sol.policy
+        assert p.warnings == sol.warnings
+
+
+def test_frontier_points_keep_solver_warnings():
+    # a Rayleigh-8 solve at d = Q and a small budget ends with a duality-gap warning
+    sol = maximize_rate(CH, Rayleigh(), CH.Q, 0.1, nodes=8)
+    assert sol.warnings and sol.warnings[0].startswith("duality gap")
+    fr = rd_frontier(CH, Rayleigh(), 0.1, grid=[0.5, CH.Q], nodes=8)
+    assert fr.points[-1].d_used == CH.Q
+    assert fr.points[-1].warnings == sol.warnings
+
+
+def _step_response(lam_star, calls):
+    """Power 2 below each problem's lam_star and 0.5 from it on, against budget 1."""
+    def respond(lam):
+        calls.append(lam.copy())
+        power = np.where(lam < lam_star, 2.0, 0.5)[:, None]
+        return _Response(-power, power, np.zeros_like(power), np.zeros_like(power))
+    return respond
+
+
+def test_dual_solve_stops_at_its_bracket_floor():
+    # no multiplier meets a power tolerance here; the coarse rho2 scan's solves
+    # stop at a bracket of 1e-6 relative, the others at BISECT_FLOOR = 1e-9
+    lam_star, budget, w = np.array([0.37]), np.array([1.0]), np.array([1.0])
+    calls = []
+    resp, lam, (lo, hi), warns = _dual_solve(_step_response(lam_star, calls), w, budget,
+                                             tol=1e-3, floor=1e-6)
+    assert len(calls) <= 24
+    assert resp.power[0, 0] <= budget[0] and lam[0] >= lam_star[0]
+    assert hi[0] - lo[0] <= 1e-6 * hi[0] and lo[0] < lam_star[0] <= hi[0]
+    assert warns[0] and warns[0][0].startswith("duality gap")
+
+    resp, lam, (lo, hi), _ = _dual_solve(_step_response(lam_star, []), w, budget,
+                                         tol=BISECT_TOL)
+    assert resp.power[0, 0] <= budget[0]
+    assert lo[0] < lam_star[0] <= hi[0] and hi[0] - lo[0] <= 1e-9 * hi[0]
+
+
+def test_dual_solve_batch_equals_single_solves():
+    # the second problem needs the bracket doubled twice, the first does not
+    lam_star, budget, w = np.array([0.37, 2.9]), np.array([1.0, 1.0]), np.array([1.0])
+    resp, lam, bracket, warns = _dual_solve(_step_response(lam_star, []), w, budget,
+                                            tol=1e-3, floor=1e-6)
+    for b in range(2):
+        one = _dual_solve(_step_response(lam_star[[b]], []), w, budget[[b]], tol=1e-3,
+                          floor=1e-6)
+        assert lam[b] == one[1][0]
+        assert (bracket[0][b], bracket[1][b]) == (one[2][0][0], one[2][1][0])
+        assert (resp.power[b] == one[0].power[0]).all()
+        assert (resp.value[b] == one[0].value[0]).all()
+        assert warns[b] == one[3][0]
+
+
+def test_fixed_rho_frontier_working_set_is_bounded():
+    # the batched grid solve holds at most CHUNK_ELEMS table elements at a time,
+    # so its peak stays near one chunk's however long the grid (12 points here,
+    # 50 in the CLI's default)
+    make_rule(Rayleigh(), 64)  # the cold rule build is not part of the solve
+    tracemalloc.start()
+    try:
+        rd_frontier(CH, Rayleigh(), 2.5, grid=np.geomspace(1e-3, 1.0, 12), nodes=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
