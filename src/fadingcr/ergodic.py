@@ -1,11 +1,15 @@
 """Expectation over the fading law: quadrature rules and ergodic averaging.
 
-The Rayleigh rule is the Gauss rule of the exact density 2g*exp(-g^2):
-its Jacobi recurrence coefficients are recovered from the exact moments
-E[G^k] = Gamma(k/2 + 1) in high precision (working precision is verified
-against closed-form moments and escalated if needed), nodes come from the
-double-precision tridiagonal eigenproblem and weights from the orthonormal
-recurrence. Polynomials in g up to degree 2n-1 integrate exactly.
+The Rayleigh rule is the Gauss rule of the exact density 2g*exp(-g^2).
+Its Jacobi recurrence coefficients come from the discretized Stieltjes
+procedure in double precision (Gautschi, *Orthogonal Polynomials:
+Computation and Approximation*, 2004): the density is sampled on a fixed
+composite Gauss-Legendre grid and the three-term recurrence runs on vectors
+scaled by the square root of the grid weights, so they keep unit norm and
+cannot overflow. Nodes come from the tridiagonal eigenproblem (Golub &
+Welsch 1969), weights from the orthonormal recurrence, and every rule is
+checked against the closed-form moments E[G^k] = Gamma(k/2 + 1).
+Polynomials in g up to degree 2n-1 integrate exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
@@ -52,23 +55,44 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def _rayleigh_jacobi(n: int, dps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi recurrence coefficients for the weight 2g*exp(-g^2) on [0, inf)."""
-    with mp.workdps(dps):
-        mu = [mp.gamma(mp.mpf(k) / 2 + 1) for k in range(2 * n + 1)]
-        hankel = mp.matrix(n + 1, n + 1)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                hankel[i, j] = mu[i + j]
-        r = mp.cholesky(hankel).T
-        alpha, beta = [], []
-        for k in range(n):
-            t = r[k, k + 1] / r[k, k]
-            alpha.append(t if k == 0 else t - r[k - 1, k] / r[k - 1, k - 1])
-            if k >= 1:
-                beta.append(r[k, k] / r[k - 1, k - 1])
-    return (np.array([float(a) for a in alpha]),
-            np.array([float(b) for b in beta]))
+#: Composite Gauss-Legendre grid that discretizes the Rayleigh density:
+#: panels of this width, each with this many points.
+PANEL_WIDTH = 0.5
+PANEL_POINTS = 64
+
+
+def _rayleigh_grid(n: int, width: float = PANEL_WIDTH) -> tuple[np.ndarray, np.ndarray]:
+    """Points x_j and root weights sqrt(w_j) of the density 2g*exp(-g^2) on [0, sqrt(2n) + 12].
+
+    The largest node of the n-point rule lies below sqrt(2n) + 3 (25.6 at
+    n = 256), and past the 12 margin the density is below exp(-144). The
+    root weights are formed from exp(-x^2/2), because exp(-x^2) underflows
+    past x = 27.3, where the high-degree polynomials still carry mass.
+    """
+    panels = math.ceil((math.sqrt(2.0 * n) + 12.0) / width)
+    t, v = np.polynomial.legendre.leggauss(PANEL_POINTS)
+    x = (width * np.arange(panels)[:, None] + 0.5 * width * (t + 1.0)).ravel()
+    return x, np.sqrt(np.tile(width * v, panels) * x) * np.exp(-0.5 * x * x)
+
+
+def _stieltjes(x: np.ndarray, root_w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi coefficients alpha_0..n-1 and beta_1..n-1 of the measure sum_j w_j delta(x_j).
+
+    The recurrence runs on q_k = sqrt(w) * p_k(x), which has unit norm for
+    the orthonormal p_k, so nothing overflows; beta_k is the off-diagonal
+    of the Jacobi matrix (the square root of the classical beta).
+    """
+    q_prev = np.zeros_like(x)
+    q = root_w / math.sqrt(root_w @ root_w)
+    alpha, beta = np.empty(n), np.empty(n - 1)
+    for k in range(n):
+        alpha[k] = (x * q) @ q
+        if k == n - 1:
+            break
+        r = (x - alpha[k]) * q - (beta[k - 1] * q_prev if k >= 1 else 0.0)
+        beta[k] = math.sqrt(r @ r)
+        q_prev, q = q, r / beta[k]
+    return alpha, beta
 
 
 def _weights_from_recurrence(nodes: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -87,23 +111,23 @@ def _weights_from_recurrence(nodes: np.ndarray, alpha: np.ndarray, beta: np.ndar
 
 @lru_cache(maxsize=32)
 def _rayleigh_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    sqrt_pi_2 = math.sqrt(math.pi) / 2.0
-    for dps in (40 + 2 * n, 60 + 4 * n, 120 + 8 * n):
-        alpha, beta = _rayleigh_jacobi(n, dps)
-        nodes = eigh_tridiagonal(alpha, beta, eigvals_only=True)
-        weights = _weights_from_recurrence(nodes, alpha, beta)
-        keep = np.isfinite(weights) & (weights > 0.0)  # extreme nodes can underflow
-        nodes, weights = nodes[keep], weights[keep]
-        # the n-point rule is exact for degrees <= 2n-1; check what applies
-        checks = [abs(float(weights.sum()) - 1.0),
-                  abs(float(weights @ nodes) - sqrt_pi_2)]
-        if n >= 2:
-            checks.append(abs(float(weights @ nodes ** 2) - 1.0))
-        if n >= 3:
-            checks.append(abs(float(weights @ nodes ** 4) - 2.0) / 2.0)
-        if max(checks) < 5e-14:
-            return tuple(nodes), tuple(weights)
-    raise ConfigError(f"could not build an accurate Rayleigh rule with n={n}")
+    alpha, beta = _stieltjes(*_rayleigh_grid(n), n)
+    nodes = eigh_tridiagonal(alpha, beta, eigvals_only=True)
+    weights = _weights_from_recurrence(nodes, alpha, beta)
+    usable = np.isfinite(weights) & (weights > 0.0)  # extreme weights can underflow
+    if not usable.all():
+        raise ConfigError(f"Rayleigh rule with n={n} has only {int(usable.sum())} nodes "
+                          "with a positive finite weight")
+    # the n-point rule is exact for degrees <= 2n-1; check what applies
+    checks = [abs(float(weights.sum()) - 1.0),
+              abs(float(weights @ nodes) - math.sqrt(math.pi) / 2.0)]
+    if n >= 2:
+        checks.append(abs(float(weights @ nodes ** 2) - 1.0))
+    if n >= 3:
+        checks.append(abs(float(weights @ nodes ** 4) - 2.0) / 2.0)
+    if max(checks) >= 5e-14:
+        raise ConfigError(f"could not build an accurate Rayleigh rule with n={n}")
+    return tuple(nodes), tuple(weights)
 
 
 def make_rule(fading: FadingModel, n: int = 64) -> QuadratureRule:

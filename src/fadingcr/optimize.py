@@ -44,6 +44,12 @@ DEFAULT_GRID_FLOOR = 1e-3
 POWER_CAP = float(2 ** 16)
 POWER_FLOOR = 1e-12
 
+#: Relative tolerance of min_power's Brent search. The attained rate is
+#: rough at ~1e-9 bits near P_min (the inner solver's tolerances), which is
+#: ~3e-9 relative in P; a tolerance below that chases the roughness, and the
+#: number of solves then jumps by up to 3 with ulp-level changes of the rates.
+POWER_RTOL = 1e-8
+
 
 class UnreachableError(RuntimeError):
     """No budget up to the cap supports the requested (rate, distortion) pair."""
@@ -719,7 +725,8 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
                 f"rate {R_target} at distortion {D_target} unreachable below budget {p_cap:g}")
         lo, hi = hi, min(hi * step, p_cap)
         step = min(step * 1.3, max_step)
-    root = float(brentq(residual, lo, hi, xtol=1e-12 * ch.sigma_z2, rtol=1e-9, maxiter=200))
+    root = float(brentq(residual, lo, hi, xtol=1e-12 * ch.sigma_z2, rtol=POWER_RTOL,
+                        maxiter=200))
     if residual(root) < 0.0:
         # hi reaches the target, so the set is never empty
         root = min(p for (d, p), r in rates.items()

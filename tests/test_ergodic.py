@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import exp1
 
 from fadingcr.model import (ChannelParams, CodingParams, ConfigError, Degenerate,
                             Discrete, PerStatePolicy, Rayleigh)
-from fadingcr.ergodic import avg_power, ergodic_rate, expect, make_rule
+from fadingcr import ergodic
+from fadingcr.ergodic import MAX_NODES, avg_power, ergodic_rate, expect, make_rule
 from fadingcr.rate_core import rate_per_state
 
 CH = ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=2.5)
@@ -31,7 +38,7 @@ def test_single_point_discrete_equals_degenerate():
     assert a.nodes == b.nodes and a.weights == b.weights
 
 
-@pytest.mark.parametrize("n", [2, 8, 64, 128])
+@pytest.mark.parametrize("n", [2, 8, 64, 128, 256])
 def test_rayleigh_moments(n):
     rule = make_rule(Rayleigh(), n)
     w = np.array(rule.weights)
@@ -59,6 +66,96 @@ def test_rayleigh_node_properties():
     assert all(g > 0 for g in rule.nodes)
     assert all(b > a for a, b in zip(rule.nodes, rule.nodes[1:]))
     assert all(w > 0 for w in rule.weights)
+
+
+def test_every_rayleigh_size_builds_full_rule():
+    for n in range(1, MAX_NODES + 1):
+        rule = make_rule(Rayleigh(), n)
+        assert len(rule) == n
+
+
+def test_rayleigh_rule_rejects_lost_nodes(monkeypatch):
+    # a weight that underflows to 0 must fail the build, not shrink the rule
+    real = ergodic._weights_from_recurrence
+
+    def underflowing(nodes, alpha, beta):
+        w = real(nodes, alpha, beta)
+        w[-1] = 0.0
+        return w
+
+    monkeypatch.setattr(ergodic, "_weights_from_recurrence", underflowing)
+    ergodic._rayleigh_rule.cache_clear()
+    try:
+        with pytest.raises(ConfigError, match="only 4 nodes"):
+            make_rule(Rayleigh(), 5)
+    finally:
+        ergodic._rayleigh_rule.cache_clear()
+
+
+def _hankel_cholesky_jacobi(n, dps):
+    """Reference Jacobi coefficients from the exact moments Gamma(k/2 + 1) in multiprecision."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        mu = [mp.gamma(mp.mpf(k) / 2 + 1) for k in range(2 * n + 1)]
+        hankel = mp.matrix(n + 1, n + 1)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                hankel[i, j] = mu[i + j]
+        r = mp.cholesky(hankel).T
+        alpha, beta = [], []
+        for k in range(n):
+            t = r[k, k + 1] / r[k, k]
+            alpha.append(t if k == 0 else t - r[k - 1, k] / r[k - 1, k - 1])
+            if k >= 1:
+                beta.append(r[k, k] / r[k - 1, k - 1])
+    return (np.array([float(a) for a in alpha]),
+            np.array([float(b) for b in beta]))
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_rayleigh_rule_matches_multiprecision_reference(n):
+    ref_alpha, ref_beta = _hankel_cholesky_jacobi(n, 40 + 2 * n)
+    alpha, beta = ergodic._stieltjes(*ergodic._rayleigh_grid(n), n)
+    np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(beta, ref_beta, rtol=1e-13, atol=0)
+    ref_nodes = eigh_tridiagonal(ref_alpha, ref_beta, eigvals_only=True)
+    ref_weights = ergodic._weights_from_recurrence(ref_nodes, ref_alpha, ref_beta)
+    # a float64 eigensolve places a node to ~1e-16 of the largest one, and a
+    # tail weight w ~ exp(-g^2) moves by 2g times that, so nodes and weights
+    # are compared relative to the largest, and each weight only to 1e-12
+    rule = make_rule(Rayleigh(), n)
+    nodes, weights = np.array(rule.nodes), np.array(rule.weights)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-13 * ref_nodes.max()
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-13 * ref_weights.max()
+    np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=0)
+
+
+def test_rayleigh_recurrence_converged_in_grid():
+    # halving the panel width must not move any coefficient of the largest rule
+    n = MAX_NODES
+    alpha, beta = ergodic._stieltjes(*ergodic._rayleigh_grid(n), n)
+    fine = ergodic._rayleigh_grid(n, width=ergodic.PANEL_WIDTH / 2)
+    fine_alpha, fine_beta = ergodic._stieltjes(*fine, n)
+    np.testing.assert_allclose(alpha, fine_alpha, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(beta, fine_beta, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_rayleigh_rule_integrates_log_rate(n):
+    # E[log2(1 + s G^2)] = exp(1/s) E1(1/s) / ln 2 for G^2 ~ Exp(1)
+    s = 2.5
+    exact = math.exp(1.0 / s) * exp1(1.0 / s) / math.log(2.0)
+    rule = make_rule(Rayleigh(), n)
+    g = np.array(rule.nodes)
+    assert np.array(rule.weights) @ np.log2(1.0 + s * g * g) == pytest.approx(exact, rel=1e-13)
+
+
+def test_cli_import_does_not_load_mpmath():
+    code = "import sys, fadingcr.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(ergodic.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_node_count_limits():

@@ -424,3 +424,14 @@ def test_fixed_rho_frontier_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def test_min_power_solve_count_steady_under_tiny_target_changes(solves):
+    # the attained rate is rough at ~1e-9 bits near P_min; a Brent tolerance
+    # below that roughness makes the solve count jump (14, 11, 11, 13 at 1e-9)
+    counts = []
+    for k in range(4):
+        solves.clear()
+        min_power(CH, Rayleigh(), 0.3 * (1 + k * 1e-12), CH.Q, nodes=64)
+        counts.append(len(solves))
+    assert len(set(counts)) == 1
