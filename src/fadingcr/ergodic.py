@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -147,17 +146,6 @@ def make_rule(fading: FadingModel, n: int = 64) -> QuadratureRule:
         raise ConfigError(f"quadrature size {n} exceeds {MAX_NODES} (weight underflow risk)")
     nodes, weights = _rayleigh_rule(n)
     return QuadratureRule(nodes, weights, "Laguerre-transformed")
-
-
-def expect(rule: QuadratureRule, h: Callable[[float], float]) -> float:
-    """Sum w_i h(g_i) in ascending-node order."""
-    values = []
-    for g, w in zip(rule.nodes, rule.weights):
-        v = h(g)
-        if not math.isfinite(v):
-            raise ArithmeticError(f"integrand is not finite at node g={g!r}: {v!r}")
-        values.append(w * v)
-    return math.fsum(values)
 
 
 def ergodic_rate(rule: QuadratureRule, policy: PerStatePolicy, d: float,

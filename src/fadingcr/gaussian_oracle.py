@@ -45,13 +45,6 @@ class JointCovariance:
     cp: CodingParams
     ch: ChannelParams
 
-    def index(self, name: str) -> int:
-        return VARIABLES.index(name)
-
-    def var(self, name: str) -> float:
-        i = self.index(name)
-        return float(self.matrix[i, i])
-
 
 def _coefficients(P: float, cp: CodingParams, ch: ChannelParams) -> tuple[float, float, float]:
     """(c_u, c_t, Var(W)) of X = c_u U + c_t T + W with E[X^2] = P."""

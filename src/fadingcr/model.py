@@ -90,12 +90,6 @@ class Discrete:
 FadingModel = Union[Rayleigh, Degenerate, Discrete]
 
 
-def validate_config(channel: ChannelParams, fading: FadingModel) -> None:
-    """Raise ConfigError naming the first violated invariant; return on success."""
-    channel.validate()
-    fading.validate()
-
-
 def in_disk(rho1: float, rho2: float) -> bool:
     """The unit-disk test of CodingParams, in the exact floating-point form it applies.
 
@@ -178,7 +172,9 @@ class Config:
     log_base: float = LOG_BASE_BITS
 
     def validate(self) -> None:
-        validate_config(self.channel, self.fading)
+        """Raise ConfigError naming the first violated invariant; return on success."""
+        self.channel.validate()
+        self.fading.validate()
         if self.quadrature_nodes < 1:
             raise ConfigError("quadrature_nodes must be at least 1")
         if self.log_base not in (LOG_BASE_BITS, LOG_BASE_NATS):

@@ -1,15 +1,22 @@
 """Ergodic rate maximization and trade-off frontiers.
 
-Power allocation across fading states is solved by Lagrangian decomposition:
-for a multiplier lam each node maximizes rate - lam*P by grid search plus
-golden-section refinement, and lam is bisected to meet the average-power
-budget. The bisection runs on a batch of independent problems at once (in
-fixed-rho mode every (d, rho2) of a distortion grid), each with its own
-multiplier and stop test. The per-node rho search exploits that the rate is
-maximized on the disk boundary with rho1 = +sqrt(1 - rho2^2) whenever
-g^2 P > 0, so the rho dimension reduces to rho2 in [-1, 1]; degenerate flat
-cases are canonicalized to (0, 0). All searches are deterministic (fixed
-grids, fixed iteration counts, first-index tie-breaks).
+Power allocation across fading states is solved by Lagrangian decomposition
+(Goldsmith & Varaiya, IEEE Trans. IT 1997; Palomar & Fonollosa, IEEE Trans.
+SP 2005). For a multiplier lam every node maximizes rate - lam*P exactly,
+with no power table and no cap (responses.py), and lam is bisected to meet
+the average-power budget. The bisection runs on a batch of independent
+problems at once (in fixed-rho mode every (d, psi) of a distortion grid),
+each with its own multiplier and stop test. A primal-recovery step then
+meets each budget exactly: it mixes the responses at the two ends of the
+final multiplier bracket, and a node that jumps across its concave-hull
+segment there is also pinned at either end of the segment while the other
+nodes meet the budget again.
+
+The rate is maximized on the disk boundary rho = (cos psi, sin psi),
+|psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
+to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
+mode finds the shared psi by a 49-point scan and a regula-falsi search for a
+zero of the envelope derivative dV/dpsi. All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -25,10 +32,9 @@ from scipy.optimize import brentq
 from .ergodic import make_rule
 from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy, in_disk
 from .rate_core import _rate_kernel
+from .responses import FixedRho, adaptive_powers, arc_psi
 
 MODES = ("fixed-rho", "adaptive-rho")
-
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Budget-matching tolerance of the multiplier bisection, relative to the budget.
 BUDGET_TOL = 1e-9
@@ -50,6 +56,32 @@ POWER_FLOOR = 1e-12
 #: number of solves then jumps by up to 3 with ulp-level changes of the rates.
 POWER_RTOL = 1e-8
 
+#: Default budget-matching tolerance of _dual_solve; the solvers pass 0, so
+#: each bisection runs to its bracket floor before the primal recovery.
+BISECT_TOL = 1e-6
+
+#: Relative width of the multiplier bracket at which the bisection stops a
+#: problem whose power cannot meet the tolerance (it steps across the budget).
+BISECT_FLOOR = 1e-9
+
+#: Bracket floor of the solvers' bisections. The primal recovery mixes the
+#: responses at the bracket ends, which moves every continuous node along
+#: its response curve to second order in the bracket width; both allocations
+#: spend the budget, so the rate is off by the fourth order.
+RECOVERY_FLOOR = 1e-6
+
+#: Most (problem, node) rows the fixed-rho solver holds at once: a batch of
+#: problems is solved in chunks, so the working set does not grow with the
+#: distortion grid.
+CHUNK_ROWS = 2 ** 11
+
+#: Duality gap, in rate units, above which the primal recovery also tries
+#: pinning a jumping node at either end of its concave-hull segment.
+RECOVERY_GAP = 1e-12
+
+#: Width in psi at which the fixed-rho search for dV/dpsi = 0 stops.
+PSI_TOL = 1e-6
+
 
 class UnreachableError(RuntimeError):
     """No budget up to the cap supports the requested (rate, distortion) pair."""
@@ -60,42 +92,6 @@ def _rates(g, P, rho1, rho2, d: float, ch: ChannelParams, base: float):
     return _rate_kernel(g, P, ch.Q - d, d, rho1, rho2, ch.sigma_z2, base)
 
 
-def _golden_max(f: Callable, a, b, iters: int):
-    """Vectorized golden-section maximization of f on [a, b]; returns (x*, f(x*))."""
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    inv = 1.0 - _GOLD
-    x1 = a + inv * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        left = f1 >= f2
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        keep_x = np.where(left, x1, x2)
-        keep_f = np.where(left, f1, f2)
-        x1 = np.where(left, a + inv * (b - a), keep_x)
-        x2 = np.where(left, keep_x, a + _GOLD * (b - a))
-        probe = np.where(left, x1, x2)
-        fp = f(probe)
-        f1 = np.where(left, fp, keep_f)
-        f2 = np.where(left, keep_f, fp)
-    pick1 = f1 >= f2
-    return np.where(pick1, x1, x2), np.where(pick1, f1, f2)
-
-
-def _boundary_rho1(rho2):
-    """Largest rho1 with rho1^2 + rho2^2 <= 1 that also holds in floating point."""
-    rho2 = np.asarray(rho2, dtype=float)
-    r1 = np.sqrt(np.maximum(1.0 - rho2 * rho2, 0.0))
-    for _ in range(3):
-        over = r1 * r1 + rho2 * rho2 > 1.0
-        if not np.any(over):
-            break
-        r1 = np.where(over, np.nextafter(r1, 0.0), r1)
-    return r1 if r1.ndim else float(r1)
-
-
 def _into_disk(r1: float, r2: float) -> tuple[float, float]:
     """Shave (r1, r2) toward zero by ulps until CodingParams accepts the pair."""
     while not in_disk(r1, r2):
@@ -104,14 +100,6 @@ def _into_disk(r1: float, r2: float) -> tuple[float, float]:
         else:
             r2 = math.nextafter(r2, 0.0)
     return r1, r2
-
-
-def _power_candidates(budget: float, n: int = 64) -> np.ndarray:
-    """Geometric power grid over [0, 8*budget] including both endpoints."""
-    if budget <= 0.0:
-        return np.array([0.0])
-    pmax = 8.0 * budget
-    return np.concatenate(([0.0], np.geomspace(pmax * 1e-6, pmax, n - 1)))
 
 
 @dataclass
@@ -174,47 +162,20 @@ class Frontier:
         return float(np.interp(D, ds, rs))
 
 
-def _arc_max(g, P, d: float, ch: ChannelParams, base: float):
-    """(psi*, rate) of the per-state rate maximized over the disk, broadcast over g and P.
-
-    At fixed rho2 the rate rises with rho1 >= 0, so the maximum lies on the arc
-    rho = (cos psi, sin psi), |psi| <= pi/2: a 257-point psi scan, then 70
-    golden-section steps around the best scan point.
-    """
-    g, P = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(P, dtype=float))
-    psi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 257)
-    scan = _rates(g[..., None], P[..., None], np.cos(psi), np.sin(psi), d, ch, base)
-    k = np.argmax(scan, axis=-1)
-    return _golden_max(lambda p: _rates(g, P, np.cos(p), np.sin(p), d, ch, base),
-                       psi[np.maximum(k - 1, 0)], psi[np.minimum(k + 1, psi.size - 1)], 70)
-
-
 def optimize_rho_per_state(g: float, P: float, d: float, ch: ChannelParams,
                            base: float = 2.0) -> tuple[float, float, float]:
     """Maximize the per-state rate over the closed disk rho1^2 + rho2^2 <= 1.
 
-    The arc search of _arc_max; ties within 1e-10 prefer the silent pair (0, 0).
+    The arc solve of responses.arc_psi; ties within 1e-10 prefer the silent pair (0, 0).
     """
     if not (ch.d_min <= d <= ch.Q):
         raise ConfigError(f"d={d} outside [{ch.d_min:g}, {ch.Q}]")
-    psi, best = _arc_max(g, P, d, ch, base)
+    psi = float(arc_psi(g, math.sqrt(P), d, ch))
+    best = float(_rates(g, P, math.cos(psi), math.sin(psi), d, ch, base))
     silent = float(_rates(g, P, 0.0, 0.0, d, ch, base))
-    if silent >= float(best) - 1e-10:
+    if silent >= best - 1e-10:
         return 0.0, 0.0, silent
-    return (*_into_disk(float(np.cos(psi)), float(np.sin(psi))), float(best))
-
-
-#: Budget-matching tolerance of the bisection; residual slack is closed by top-up.
-BISECT_TOL = 1e-6
-
-#: Relative width of the multiplier bracket at which the bisection stops a
-#: problem whose power cannot meet the tolerance (it steps across the budget).
-BISECT_FLOOR = 1e-9
-
-#: Largest (problems x nodes x power candidates) table the fixed-rho solver
-#: holds at once: a batch of problems is solved in chunks of this size, so
-#: the working set does not grow with the distortion grid.
-CHUNK_ELEMS = 2 ** 14
+    return (*_into_disk(math.cos(psi), math.sin(psi)), best)
 
 
 def _wsum(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -225,6 +186,11 @@ def _wsum(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     gemv rounds differently).
     """
     return (x[..., None, :] @ weights[:, None])[..., 0, 0]
+
+
+def _rows(r: _Response, idx) -> _Response:
+    """The response of the problems idx."""
+    return _Response(r.value[idx], r.power[idx], r.rho1[idx], r.rho2[idx])
 
 
 def _take(new: _Response, old: _Response, rows: np.ndarray) -> _Response:
@@ -255,8 +221,8 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
     reproduces its response, so no result depends on the rest of the batch.
     Returns budget-feasible responses, the multipliers, the brackets and per
     problem a "duality gap" warning when its power still misses the budget
-    by more than GAP_WARN (it jumps across the final bracket); _finalize's
-    top-up spends the slack.
+    by more than GAP_WARN (it jumps across the final bracket); _recover
+    spends the slack.
     """
     zero = np.zeros_like(budget)
     resp = respond(zero)
@@ -308,180 +274,142 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
     return resp_hi, hi, (lo, hi), warns
 
 
-def _top_up(resp: _Response, weights: np.ndarray, budget: np.ndarray, lam: np.ndarray,
-            rebuild: Callable) -> _Response:
-    """Spend each problem's residual budget slack uniformly on its powered nodes.
+def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, budget: np.ndarray,
+             resp: _Response, lo: np.ndarray, hi: np.ndarray,
+             jumps: Callable | None = None) -> _Response:
+    """Primal recovery: meet each problem's budget exactly after _dual_solve.
 
-    At the dual optimum every powered node has marginal rate lam > 0, so the
-    uniform increment raises the rate by ~lam*slack and the remaining
-    suboptimality is second order in the slack. A problem keeps its response
-    when the increment does not raise its rate.
+    resp is the response at hi, within budget; the one at lo exceeds it. The
+    mixture of the two powers that spends the budget moves the continuous
+    nodes across the bracket's width, and gives a node that jumps across its
+    concave-hull segment the power that closes the budget. rebuild maps
+    powers to a _Response; respond also takes one multiplier per node.
+    jumps(lo, hi) marks those nodes, when the responses can jump: each is
+    then also pinned at either end of its segment (its response to hi or
+    to lo) while the other nodes meet the budget by a second bisection,
+    unless the weak-duality bound at hi, sum_i w_i (R_i - hi P_i) + hi B,
+    already certifies the mixture within RECOVERY_GAP. A problem keeps the
+    best of these candidates, and resp when none raises its rate.
     """
-    slack = budget - _wsum(resp.power, weights)
-    rows = (lam > 0.0) & (slack > 0.0)
+    spent = _wsum(resp.power, weights)
+    rows = (lo > 0.0) & (spent < budget)
     if not rows.any():
         return resp
-    power = resp.power.copy()
-    active = power > 0.0
-    for b in np.flatnonzero(rows):
-        w_active = float(weights[active[b]].sum())
-        if w_active > 0.0:
-            power[b, active[b]] += slack[b] / w_active
+    over = respond(np.where(rows, lo, hi))
+    extra = _wsum(over.power, weights) - spent
+    t = np.where(rows & (extra > 0.0), (budget - spent) / np.where(extra > 0.0, extra, 1.0), 0.0)
+    cand = rebuild(resp.power + np.minimum(t, 1.0)[:, None] * (over.power - resp.power))
+    best = _take(cand, resp, rows & (_wsum(cand.value, weights) >= _wsum(resp.value, weights)))
+    if jumps is None:
+        return best
+    bound = _wsum(resp.value - hi[:, None] * resp.power, weights) + hi * budget
+    rows &= bound - _wsum(best.value, weights) > RECOVERY_GAP
+    if not rows.any():
+        return best
+    pin_nodes = jumps(np.where(rows, lo, hi), hi) & rows[:, None]
+    for pin, hint in ((hi, (0.5 * lo, lo)), (lo, (hi, 2.0 * hi))):
+        # the pinned nodes alone must leave budget for the others
+        left = budget - _wsum(np.where(pin_nodes, respond(pin).power, 0.0), weights)
+        idx = np.flatnonzero(pin_nodes.any(axis=1) & (left > 0.0))
+        if not idx.size:
             continue
-        gains = rebuild(np.where(weights > 0, slack[:, None] / weights, 0.0),
-                        resp.rho1, resp.rho2)[b]
-        i = int(np.argmax(gains - resp.value[b]))
-        if gains[i] <= resp.value[b, i]:
-            rows[b] = False
-            continue
-        power[b, i] = slack[b] / weights[i]
-    cand = _Response(rebuild(power, resp.rho1, resp.rho2), power, resp.rho1, resp.rho2)
-    return _take(cand, resp, rows & (_wsum(cand.value, weights) >= _wsum(resp.value, weights)))
+
+        def pinned(mu, pin=pin, idx=idx):
+            lam = np.repeat(hi[:, None], weights.size, axis=1)
+            lam[idx] = np.where(pin_nodes[idx], pin[idx, None], mu[:, None])
+            return _rows(respond(lam), idx)
+
+        def rebuild_rows(P, idx=idx, power=best.power):
+            full = power.copy()
+            full[idx] = P
+            return _rows(rebuild(full), idx)
+
+        r, _, (l2, h2), _ = _dual_solve(pinned, weights, budget[idx], tol=0.0,
+                                        hint=(hint[0][idx], hint[1][idx]), floor=RECOVERY_FLOOR)
+        r = _recover(pinned, rebuild_rows, weights, budget[idx], r, l2, h2)
+        up = ((_wsum(r.value, weights) > _wsum(best.value[idx], weights))
+              & (_wsum(r.power, weights) <= budget[idx] * (1.0 + BUDGET_TOL)))
+        best = _Response(*(z.copy() for z in (best.value, best.power, best.rho1, best.rho2)))
+        for new, old in zip((r.value, r.power, r.rho1, r.rho2),
+                            (best.value, best.power, best.rho1, best.rho2)):
+            old[idx[up]] = new[up]
+    return best
 
 
-def _finalize(respond_full: Callable[[np.ndarray], _Response], weights: np.ndarray,
-              budget: np.ndarray, lam: np.ndarray, rebuild: Callable
-              ) -> tuple[_Response, np.ndarray]:
-    """Full-polish responses at lam, escalate each lam until its budget holds, top up slack."""
-    resp = respond_full(lam)
-    for k in range(60):
-        over = _wsum(resp.power, weights) > budget * (1.0 + BUDGET_TOL)
-        if not over.any():
-            break
-        lam = np.where(over, np.where(lam > 0, lam, 1e-12) * (1.0 + 1e-7 * 2.0 ** k), lam)
-        # the problems whose lam stays re-evaluate to their response
-        resp = respond_full(lam)
-    return _top_up(resp, weights, budget, lam, rebuild), lam
+def _fixed_response(nodes: FixedRho, P: np.ndarray) -> _Response:
+    """The response, one row per problem, of nodes at their shared rho and powers P."""
+    P = np.asarray(P, dtype=float).reshape(-1)
+    fin = np.isfinite(P)
+    value = np.where(fin, _rates(nodes.g, np.where(fin, P, 0.0), nodes.rho1, nodes.rho2,
+                                 nodes.d, nodes.ch, nodes.base), np.inf)
+    return _Response(*(z.reshape(-1, nodes.n) for z in (value, P, nodes.rho1, nodes.rho2)))
 
 
-def _fixed_response(g: np.ndarray, p_cands: np.ndarray, d: np.ndarray, ch: ChannelParams,
-                    base: float, rho1: np.ndarray, rho2: np.ndarray, table: np.ndarray,
-                    lam: np.ndarray, polish: int) -> _Response:
-    """Best power per node of each problem at its shared (rho1, rho2) under its multiplier.
-
-    table holds each problem's rates on the (nodes x power candidates) grid
-    and lam one multiplier per problem; g, d, rho1 and rho2 are given per
-    (problem, node) row, so that every rate evaluation is on flat arrays.
-    """
-    b, n, m = table.shape
-    score = (table - (lam[:, None] * p_cands)[:, None, :]).reshape(b * n, m)
-    idx = np.argmax(score, axis=1)
-    rows = np.arange(b * n)
-    p_best = p_cands[idx]
-    v_best = table.reshape(b * n, m)[rows, idx]
-    if polish > 0 and m > 1:
-        lam_r = np.repeat(lam, n)
-        lo = p_cands[np.maximum(idx - 1, 0)]
-        hi = p_cands[np.minimum(idx + 1, m - 1)]
-        p_ref, s_ref = _golden_max(
-            lambda P: _rates(g, P, rho1, rho2, d, ch, base) - lam_r * P, lo, hi, polish)
-        better = s_ref > score[rows, idx]
-        p_best = np.where(better, p_ref, p_best)
-        v_best = np.where(better, _rates(g, p_best, rho1, rho2, d, ch, base), v_best)
-    return _Response(v_best.reshape(b, n), p_best.reshape(b, n),
-                     rho1.reshape(b, n), rho2.reshape(b, n))
+def _arc_response(g: np.ndarray, P: np.ndarray, d: float, ch: ChannelParams,
+                  base: float) -> _Response:
+    """One problem's response at per-node powers P, each node at its psi*(P)."""
+    P = np.asarray(P, dtype=float).reshape(-1)
+    fin = np.isfinite(P)
+    psi = arc_psi(g, np.sqrt(np.where(fin, P, 0.0)), d, ch)
+    r1, r2 = np.cos(psi), np.sin(psi)
+    value = np.where(fin, _rates(g, np.where(fin, P, 0.0), r1, r2, d, ch, base), np.inf)
+    return _Response(value[None], P[None], r1[None], r2[None])
 
 
-def _adaptive_response(g: np.ndarray, p_cands: np.ndarray, d: float, ch: ChannelParams,
-                       base: float, table3: np.ndarray, rho2_grid: np.ndarray,
-                       lam: np.ndarray, polish: int, rounds: int) -> _Response:
-    """Best (P, rho2) per node under multiplier lam, rho1 on the disk boundary.
-
-    A batch of one problem: lam has shape (1,), the response one row.
-    """
-    lam = lam[0]
-    n, m, k = table3.shape
-    score = table3 - lam * p_cands[None, :, None]
-    idx = np.argmax(score.reshape(n, m * k), axis=1)
-    ip, ir = np.divmod(idx, k)
-    rows = np.arange(n)
-    p_best = p_cands[ip]
-    r2 = rho2_grid[ir]
-    r1 = _boundary_rho1(r2)
-    s_best = score.reshape(n, m * k)[rows, idx]
-    if polish > 0 and m > 1:
-        lo = p_cands[np.maximum(ip - 1, 0)]
-        hi = p_cands[np.minimum(ip + 1, m - 1)]
-        r2lo = rho2_grid[np.maximum(ir - 1, 0)]
-        r2hi = rho2_grid[np.minimum(ir + 1, k - 1)]
-        for _ in range(max(rounds, 1)):
-            p_ref, s_ref = _golden_max(
-                lambda P: _rates(g, P, r1, r2, d, ch, base) - lam * P, lo, hi, polish)
-            upd = s_ref > s_best
-            p_best = np.where(upd, p_ref, p_best)
-            s_best = np.where(upd, s_ref, s_best)
-            if rounds == 0:
-                break
-
-            def over_rho2(r2x):
-                r1x = _boundary_rho1(r2x)
-                return _rates(g, p_best, r1x, r2x, d, ch, base) - lam * p_best
-
-            r2_ref, s_ref2 = _golden_max(over_rho2, r2lo, r2hi, polish)
-            upd = s_ref2 > s_best
-            r2 = np.where(upd, r2_ref, r2)
-            r1 = _boundary_rho1(r2)
-            s_best = np.where(upd, s_ref2, s_best)
-    v_best = s_best + lam * p_best
-    return _Response(v_best[None], p_best[None], r1[None], r2[None])
-
-
-def _solve_fixed(g, w, p_cands, ds, budget, ch, base):
+def _solve_fixed(g, w, ds, budget, ch, base):
     """Shared-(rho1, rho2) mode for every distortion in ds at once.
 
-    Per distortion: a 49-point coarse rho2 scan, golden refinement of the
-    best one or two basins, and a final BISECT_TOL solve of each basin; each
-    stage is one batched multiplier bisection over its independent (d, rho2)
-    problems, CHUNK_ELEMS table elements at a time. Returns the responses
-    (one row per distortion), multipliers and warnings of the best basins.
+    Per distortion: a 49-point rho2 scan, then for the best one or two
+    basins an Illinois regula-falsi search for dV/dpsi = 0 between the basin
+    and the neighbour across which the slope changes sign. dV/dpsi is the
+    envelope derivative sum_i w_i dR_i/dpsi at the recovered powers. Every
+    stage is one batched multiplier bisection plus primal recovery over its
+    independent (d, psi) problems, CHUNK_ROWS (problem, node) rows at a
+    time. Returns the responses (one row per distortion), multipliers and
+    warnings of the best basins.
     """
-    rho2_grid = np.linspace(-1.0, 1.0, 49)
-    step = max(1, CHUNK_ELEMS // (g.size * p_cands.size))
+    psi_grid = np.arcsin(np.linspace(-1.0, 1.0, 49))
+    k = psi_grid.size
+    step = max(1, CHUNK_ROWS // g.size)
 
-    def solve(d, rho2, polish, tol, floor=BISECT_FLOOR, hint=None, final=False):
-        """Solves (top-up included) of problems (d, rho2): values, widened brackets
-        and, when final, the (resp, lam, warns) of each chunk."""
-        values, los, his, chunks = [], [], [], []
-        for c in (slice(s, s + step) for s in range(0, d.size, step)):
-            dc, r2 = d[c], rho2[c]
-            r1 = _boundary_rho1(r2)
-            # built problem by problem: the kernel's temporaries are table-sized
-            table = np.empty((dc.size, g.size, p_cands.size))
-            for i in range(dc.size):
-                table[i] = _rates(g[:, None], p_cands, r1[i], r2[i], dc[i], ch, base)
-            budgets = np.full(dc.size, budget)
-            # one entry per (problem, node) row
-            g_r, d_r = np.tile(g, dc.size), np.repeat(dc, g.size)
-            r1_r, r2_r = np.repeat(r1, g.size), np.repeat(r2, g.size)
+    def chunk(d, psi, floor, hint, keep):
+        """One chunk of solve; its solver state is freed before the next is built."""
+        nodes = FixedRho(np.tile(g, d.size), np.repeat(d, g.size), np.repeat(psi, g.size),
+                         g.size, ch, base)
+        budgets = np.full(d.size, budget)
+        if hint is None:
+            # the mean marginal rate at uniform power is near the multiplier
+            est = _wsum(np.maximum(nodes.marginal(math.sqrt(budget)), 0.0).reshape(-1, g.size), w)
+            hint = (0.8 * est, 1.25 * est)
+        nodes.anchor(np.where(hint[1] > 0.0, np.sqrt(hint[0] * hint[1]), 1.0))
 
-            def respond(lam, polish=polish):
-                return _fixed_response(g_r, p_cands, d_r, ch, base, r1_r, r2_r, table, lam,
-                                       polish)
+        def respond(lam):
+            return _fixed_response(nodes, nodes.powers(lam)[0])
 
-            def rebuild(P, r1x, r2x):
-                return _rates(g_r, P.reshape(-1), r1_r, r2_r, d_r, ch, base).reshape(P.shape)
+        resp, lam, (lo, hi), warns = _dual_solve(respond, w, budgets, hint=hint, tol=0.0,
+                                                 floor=floor)
+        # the scan only ranks, so its gaps get no pinned re-solves
+        resp = _recover(respond, lambda P: _fixed_response(nodes, P), w, budgets, resp, lo, hi,
+                        nodes.jumps if keep else None)
+        return (_wsum(resp.value, w), _wsum(nodes.slope(resp.power), w), lo * 0.997,
+                hi * 1.003) + ((resp, lam, warns) if keep else ())
 
-            resp, lam, (lo, hi), warns = _dual_solve(
-                respond, w, budgets, hint=None if hint is None else (hint[0][c], hint[1][c]),
-                tol=tol, floor=floor)
-            if final:
-                resp, lam = _finalize(lambda lam_: respond(lam_, 60), w, budgets, lam, rebuild)
-                chunks.append((resp, lam, warns))
-            else:
-                # the top-up makes the value smooth in rho2 despite the loose bisection
-                resp = _top_up(resp, w, budgets, lam, rebuild)
-            values.append(_wsum(resp.value, w))
-            los.append(lo)
-            his.append(hi)
-        # widened so the next solve's multiplier usually falls inside
-        return (np.concatenate(values),
-                (np.concatenate(los) * 0.997, np.concatenate(his) * 1.003), chunks)
+    def solve(d, psi, floor, hint=None, keep=False):
+        """Recovered solves of problems (d, psi): rates, slopes dV/dpsi, widened
+        brackets and, when keep, the responses, multipliers and warnings."""
+        out = [chunk(d[c], psi[c], floor, None if hint is None else (hint[0][c], hint[1][c]),
+                     keep) for c in (slice(s, s + step) for s in range(0, d.size, step))]
+        cat = [np.concatenate(z) for z in list(zip(*out))[:4]]
+        if not keep:
+            return cat[0], cat[1], (cat[2], cat[3])
+        resp = _Response(*(np.concatenate([getattr(o[4], f) for o in out])
+                           for f in ("value", "power", "rho1", "rho2")))
+        return (cat[0], cat[1], (cat[2], cat[3]), resp, np.concatenate([o[5] for o in out]),
+                [wn for o in out for wn in o[6]])
 
-    k = rho2_grid.size
-    # the scan only ranks the grid's rho2 values, and its unpolished responses
-    # never meet a power tolerance: a loose floor ends each bisection early
-    coarse, coarse_hint, _ = solve(np.repeat(ds, k), np.tile(rho2_grid, ds.size), 0, 1e-3,
-                                   floor=1e-6)
+    # the scan ranks the grid's psi values: after the recovery a bracket floor
+    # of 1e-3 leaves its rates off by O(1e-6 lam B), far below the 2e-3 basin test
+    coarse, c_slope, c_hint = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3)
     coarse = coarse.reshape(ds.size, k)
     owner, basins = [], []
     for i, row in enumerate(coarse):
@@ -497,50 +425,60 @@ def _solve_fixed(g, w, p_cands, ds, budget, ch, base):
     owner, basins = np.array(owner), np.array(basins)
     d = ds[owner]
     flat = owner * k + basins
-    hint = (coarse_hint[0][flat], coarse_hint[1][flat])
+    hint = (c_hint[0][flat], c_hint[1][flat])
 
-    def refine(r2):
-        nonlocal hint
-        values, hint, _ = solve(d, r2, 8, 2e-4, hint=hint)
-        return values
-
-    r2, _ = _golden_max(refine, rho2_grid[np.maximum(basins - 1, 0)],
-                        rho2_grid[np.minimum(basins + 1, k - 1)], 16)
-    values, _, chunks = solve(d, r2, 18, BISECT_TOL, hint=hint, final=True)
-    resp = _Response(*(np.concatenate([getattr(c[0], f) for c in chunks])
-                       for f in ("value", "power", "rho1", "rho2")))
-    lam = np.concatenate([c[1] for c in chunks])
-    warns = [wn for c in chunks for wn in c[2]]
+    best_v, f0, hint, resp, lam, warns = solve(d, psi_grid[basins], RECOVERY_FLOOR, hint, True)
+    # bracket [a, b] between the basin and the neighbour across which dV/dpsi
+    # changes sign; a basin without one keeps its grid point
+    right = f0 > 0.0
+    nb = np.where(right, np.minimum(basins + 1, k - 1), np.maximum(basins - 1, 0))
+    f_nb = c_slope[owner * k + nb]
+    a, b = np.where(right, psi_grid[basins], psi_grid[nb]), np.where(right, psi_grid[nb],
+                                                                      psi_grid[basins])
+    fa, fb = np.where(right, f0, f_nb), np.where(right, f_nb, f0)
+    active = (fa > 0.0) & (fb < 0.0)
+    side = np.zeros(owner.size)
+    for _ in range(60):
+        if not active.any():
+            break
+        i = np.flatnonzero(active)
+        x = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
+        v, fx, (hl, hh), r, lm, wn = solve(d[i], x, RECOVERY_FLOOR, (hint[0][i], hint[1][i]), True)
+        hint[0][i], hint[1][i] = hl, hh
+        up = v > best_v[i]
+        best_v[i] = np.where(up, v, best_v[i])
+        lam[i] = np.where(up, lm, lam[i])
+        for f in ("value", "power", "rho1", "rho2"):
+            getattr(resp, f)[i] = np.where(up[:, None], getattr(r, f), getattr(resp, f)[i])
+        for m, j in enumerate(i):
+            if up[m]:
+                warns[j] = wn[m]
+        # Illinois: halve the value at an end that is kept twice in a row
+        pos = fx > 0.0
+        fb[i] = np.where(pos & (side[i] > 0), 0.5 * fb[i], fb[i])
+        fa[i] = np.where(~pos & (side[i] < 0), 0.5 * fa[i], fa[i])
+        a[i], fa[i] = np.where(pos, x, a[i]), np.where(pos, fx, fa[i])
+        b[i], fb[i] = np.where(pos, b[i], x), np.where(pos, fb[i], fx)
+        side[i] = np.where(pos, 1.0, -1.0)
+        active[i] = (b[i] - a[i] > PSI_TOL) & (fx != 0.0)
     # the first basin wins ties
-    best = np.array([np.flatnonzero(owner == i)[np.argmax(values[owner == i])]
+    best = np.array([np.flatnonzero(owner == i)[np.argmax(best_v[owner == i])]
                      for i in range(ds.size)])
-    resp = _Response(resp.value[best], resp.power[best], resp.rho1[best], resp.rho2[best])
-    return resp, lam[best], tuple(warns[b] for b in best)
+    return _rows(resp, best), lam[best], tuple(warns[j] for j in best)
 
 
-def _solve_adaptive(g, w, p_cands, d, budget, ch, base):
-    """Per-node (rho1, rho2, P) mode via a joint (P, rho2) table per node."""
-    rho2_grid = np.linspace(-1.0, 1.0, 65)
-    rho1_grid = _boundary_rho1(rho2_grid)
-    table3 = _rates(g[:, None, None], p_cands[None, :, None],
-                    rho1_grid[None, None, :], rho2_grid[None, None, :], d, ch, base)
+def _solve_adaptive(g, w, d, budget, ch, base):
+    """Per-node (rho1, rho2, P) mode: exact responses to each multiplier, then recovery."""
     budgets = np.array([budget])
 
-    resp, lam, _, warns = _dual_solve(
-        lambda lam_: _adaptive_response(g, p_cands, d, ch, base, table3, rho2_grid,
-                                        lam_, 18, rounds=0),
-        w, budgets)
-    resp, lam = _finalize(
-        lambda lam_: _adaptive_response(g, p_cands, d, ch, base, table3, rho2_grid,
-                                        lam_, 55, rounds=2),
-        w, budgets, lam,
-        lambda P, r1x, r2x: _rates(g, P, r1x, r2x, d, ch, base))
-    # escalation and top-up move the powers off those the rho pairs were fitted at
-    psi, best = _arc_max(g, resp.power, d, ch, base)
-    fit = best > resp.value
-    return _Response(np.where(fit, best, resp.value), resp.power,
-                     np.where(fit, np.cos(psi), resp.rho1),
-                     np.where(fit, np.sin(psi), resp.rho2)), lam, warns
+    def respond(lam):
+        return _arc_response(g, adaptive_powers(g, d, ch, base, float(lam[0])), d, ch, base)
+
+    resp, lam, (lo, hi), warns = _dual_solve(respond, w, budgets, tol=0.0,
+                                             floor=RECOVERY_FLOOR)
+    resp = _recover(respond, lambda P: _arc_response(g, P, d, ch, base), w, budgets, resp,
+                    lo, hi)
+    return resp, lam, warns
 
 
 def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
@@ -572,15 +510,13 @@ def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
                 per_node_kappa=tuple(bool(v >= 0.0) for v in node_rates)))
         return out
 
-    p_cands = _power_candidates(P_budget)
     if mode == "fixed-rho":
-        resp, lam, warns = _solve_fixed(g, w, p_cands, np.array(ds, dtype=float),
-                                        P_budget, ch, base)
+        resp, lam, warns = _solve_fixed(g, w, np.array(ds, dtype=float), P_budget, ch, base)
         solved = [(resp, b, lam[b], warns[b]) for b in range(len(ds))]
     else:
         solved = []
         for d in ds:
-            resp, lam, warns = _solve_adaptive(g, w, p_cands, d, P_budget, ch, base)
+            resp, lam, warns = _solve_adaptive(g, w, d, P_budget, ch, base)
             solved.append((resp, 0, lam[0], warns[0]))
 
     out = []

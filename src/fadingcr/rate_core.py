@@ -8,7 +8,7 @@ the achievability side and at a general covariance on the converse side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,21 +84,32 @@ def cond_var_y_given_u(g: float, P: float, cp: CodingParams, ch: ChannelParams) 
 
 @dataclass(frozen=True)
 class ConverseCovariance:
-    """Covariance of (X, S_hat, S - S_hat): diagonal K00, K11, K22 and the X cross terms."""
+    """Covariance of (X, S_hat, S - S_hat): diagonal K00, K11, K22 and the X cross terms.
+
+    rho1 and rho2 are read back from the cross terms (0/0 as 0), except for a
+    covariance built by from_rhos, which keeps the correlations it was given:
+    dividing them back out is off by an ulp, which near R = 0 is a relative
+    rate error above 1e-12.
+    """
 
     k00: float
     k11: float
     k22: float
     k01: float
     k02: float
+    rhos: tuple[float, float] | None = field(default=None, repr=False)
 
     @property
     def rho1(self) -> float:
+        if self.rhos is not None:
+            return self.rhos[0]
         den = math.sqrt(self.k00 * self.k11)
         return self.k01 / den if den > 0.0 else 0.0  # 0/0 read as 0
 
     @property
     def rho2(self) -> float:
+        if self.rhos is not None:
+            return self.rhos[1]
         den = math.sqrt(self.k00 * self.k22)
         return self.k02 / den if den > 0.0 else 0.0
 
@@ -115,6 +126,7 @@ class ConverseCovariance:
             k00, k11, k22,
             k01=rho1 * math.sqrt(k00 * k11),
             k02=rho2 * math.sqrt(k00 * k22),
+            rhos=(rho1, rho2),
         )
 
 

@@ -80,8 +80,8 @@ def test_region_csv_and_manifest(tmp_path, config_path):
 
 
 def test_region_manifest_lists_solver_warnings(tmp_path):
-    # a Rayleigh-8 solve at d = Q and budget 0.1 ends with a duality-gap warning
-    cfg = dict(REFERENCE_CONFIG, P_avg=0.1, quadrature_nodes=8)
+    # a Rayleigh-8 solve at d = Q and budget 0.02 ends with a duality-gap warning
+    cfg = dict(REFERENCE_CONFIG, P_avg=0.02, quadrature_nodes=8)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "region.csv"
@@ -185,14 +185,16 @@ def test_validate_passes_and_is_deterministic(tmp_path, config_path):
 
 
 def test_validate_corrupt_hook_fails(tmp_path, config_path, capsys):
+    # the hook sets a tolerance to 0, so it needs an identity with rounding
+    # error; the converse identity holds exactly
     out = tmp_path / "r.json"
     code = main(["validate", "--config", config_path, "--draws", "50",
                  "--samples", "200000", "--mc-sets", "1", "--seed", "42",
-                 "--self-test-corrupt", "converse-identity", "--out", str(out)])
+                 "--self-test-corrupt", "rate-oracle-agreement", "--out", str(out)])
     assert code == 1
-    assert "converse-identity" in capsys.readouterr().err
+    assert "rate-oracle-agreement" in capsys.readouterr().err
     report = json.loads(out.read_text())
-    entry = [e for e in report["identities"] if e["name"] == "converse-identity"][0]
+    entry = [e for e in report["identities"] if e["name"] == "rate-oracle-agreement"][0]
     assert entry["passed"] is False and entry["tolerance"] == 0.0
 
 

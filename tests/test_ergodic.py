@@ -12,7 +12,7 @@ from scipy.special import exp1
 from fadingcr.model import (ChannelParams, CodingParams, ConfigError, Degenerate,
                             Discrete, PerStatePolicy, Rayleigh)
 from fadingcr import ergodic
-from fadingcr.ergodic import MAX_NODES, avg_power, ergodic_rate, expect, make_rule
+from fadingcr.ergodic import MAX_NODES, avg_power, ergodic_rate, make_rule
 from fadingcr.rate_core import rate_per_state
 
 CH = ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=2.5)
@@ -163,29 +163,6 @@ def test_node_count_limits():
         make_rule(Rayleigh(), 257)
     with pytest.raises(ConfigError, match="at least 1"):
         make_rule(Rayleigh(), 0)
-
-
-def test_expect_basics():
-    rule = make_rule(Rayleigh(), 32)
-    assert expect(rule, lambda g: 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert expect(rule, lambda g: g * g) == pytest.approx(1.0, abs=1e-10)
-    deg = make_rule(Degenerate(0.7))
-    assert expect(deg, lambda g: g ** 3) == 0.7 ** 3
-
-
-def test_expect_linearity():
-    rule = make_rule(Rayleigh(), 24)
-    h1 = lambda g: math.log1p(g)
-    h2 = lambda g: g / (1 + g * g)
-    lhs = expect(rule, lambda g: 2.5 * h1(g) - 1.25 * h2(g))
-    rhs = 2.5 * expect(rule, h1) - 1.25 * expect(rule, h2)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_expect_reports_offending_node():
-    rule = make_rule(Degenerate(2.0))
-    with pytest.raises(ArithmeticError, match="g=2.0"):
-        expect(rule, lambda g: math.inf)
 
 
 def test_ergodic_rate_degenerate_reduces_to_rate_per_state():

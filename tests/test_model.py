@@ -4,20 +4,20 @@ import pytest
 
 from fadingcr.model import (ChannelParams, CodingParams, Config, ConfigError,
                             Degenerate, Discrete, PerStatePolicy, Rayleigh,
-                            config_from_json, config_to_json, validate_config)
+                            config_from_json, config_to_json)
 
 
 def test_validate_reference_setup():
-    validate_config(ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=2.5), Rayleigh())
+    Config(ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=2.5), Rayleigh()).validate()
 
 
 def test_validate_zero_power_degenerate_zero():
-    validate_config(ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=0.0), Degenerate(0.0))
+    Config(ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=0.0), Degenerate(0.0)).validate()
 
 
 def test_negative_q_reports_first_invariant():
     with pytest.raises(ConfigError, match="Q must be positive"):
-        validate_config(ChannelParams(Q=-1.0, sigma_z2=1.0, P_avg=1.0), Rayleigh())
+        Config(ChannelParams(Q=-1.0, sigma_z2=1.0, P_avg=1.0), Rayleigh()).validate()
 
 
 @pytest.mark.parametrize("channel,msg", [

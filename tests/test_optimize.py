@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fadingcr import optimize
+from fadingcr import optimize, responses
 from fadingcr.model import (ChannelParams, CodingParams, ConfigError, Degenerate, Discrete,
                             PerStatePolicy, Rayleigh, in_disk)
 from fadingcr.ergodic import avg_power, ergodic_rate, make_rule
@@ -363,9 +363,9 @@ def test_frontier_points_equal_single_solves(fading):
 
 def test_frontier_points_keep_solver_warnings():
     # a Rayleigh-8 solve at d = Q and a small budget ends with a duality-gap warning
-    sol = maximize_rate(CH, Rayleigh(), CH.Q, 0.1, nodes=8)
+    sol = maximize_rate(CH, Rayleigh(), CH.Q, 0.02, nodes=8)
     assert sol.warnings and sol.warnings[0].startswith("duality gap")
-    fr = rd_frontier(CH, Rayleigh(), 0.1, grid=[0.5, CH.Q], nodes=8)
+    fr = rd_frontier(CH, Rayleigh(), 0.02, grid=[0.5, CH.Q], nodes=8)
     assert fr.points[-1].d_used == CH.Q
     assert fr.points[-1].warnings == sol.warnings
 
@@ -380,8 +380,8 @@ def _step_response(lam_star, calls):
 
 
 def test_dual_solve_stops_at_its_bracket_floor():
-    # no multiplier meets a power tolerance here; the coarse rho2 scan's solves
-    # stop at a bracket of 1e-6 relative, the others at BISECT_FLOOR = 1e-9
+    # no multiplier meets a power tolerance here, so each bisection stops at
+    # its bracket floor: 1e-6 relative as passed, BISECT_FLOOR = 1e-9 by default
     lam_star, budget, w = np.array([0.37]), np.array([1.0]), np.array([1.0])
     calls = []
     resp, lam, (lo, hi), warns = _dual_solve(_step_response(lam_star, calls), w, budget,
@@ -413,9 +413,9 @@ def test_dual_solve_batch_equals_single_solves():
 
 
 def test_fixed_rho_frontier_working_set_is_bounded():
-    # the batched grid solve holds at most CHUNK_ELEMS table elements at a time,
-    # so its peak stays near one chunk's however long the grid (12 points here,
-    # 50 in the CLI's default)
+    # the batched grid solve holds at most CHUNK_ROWS (problem, node) rows at a
+    # time, so its peak stays near one chunk's however long the grid (12 points
+    # here, 50 in the CLI's default)
     make_rule(Rayleigh(), 64)  # the cold rule build is not part of the solve
     tracemalloc.start()
     try:
@@ -435,3 +435,152 @@ def test_min_power_solve_count_steady_under_tiny_target_changes(solves):
         min_power(CH, Rayleigh(), 0.3 * (1 + k * 1e-12), CH.Q, nodes=64)
         counts.append(len(solves))
     assert len(set(counts)) == 1
+
+
+def test_fixed_rho_rate_has_no_step_in_the_budget():
+    # the tabled per-node responses gave 0.3059470642 bits at the larger budget
+    # and 0.3059469715 at the smaller, a 9.3e-8-bit step over 2.9e-10 of budget
+    lo = maximize_rate(CH, Rayleigh(), CH.Q, 0.5565097032508333, nodes=64).rate
+    hi = maximize_rate(CH, Rayleigh(), CH.Q, 0.5565097035393298, nodes=64).rate
+    assert hi - lo <= 1e-9
+
+
+@pytest.mark.parametrize("mode,floor", [("fixed-rho", 0.0262835), ("adaptive-rho", 0.0265039)])
+def test_small_budget_powers_are_uncapped(mode, floor):
+    # a power table capped at 8 budgets returned 0.022260 (0.021877) bits here
+    sol = maximize_rate(CH, Rayleigh(), CH.Q, 0.02, mode=mode, nodes=64)
+    assert sol.rate >= floor
+    assert max(sol.policy.power) > 8 * 0.02
+
+
+def test_adaptive_power_split_is_optimal_on_a_discrete_law():
+    # coordinate ascent over (P, rho2) settled 1.36e-6 bits lower, at 1.0450504003
+    law = Discrete(points=(0.3, 1.0, 2.2), probs=(0.2, 0.5, 0.3))
+    assert maximize_rate(CH, law, 0.7, 2.5, mode="adaptive-rho").rate >= 1.0450517588
+
+
+def _pmul_rows(p, q):
+    """Product of polynomials whose coefficients (low to high) are arrays."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _padd(p, q):
+    n = max(len(p), len(q))
+    return [(p[k] if k < len(p) else 0.0) + (q[k] if k < len(q) else 0.0) for k in range(n)]
+
+
+def _sextic(g, x, d):
+    """Coefficients in t = tan(psi/2), low to high, of (A_psi B - A B_psi)(1 + t^2)^3.
+
+    A and B are the rate's numerator and denominator at rho = (cos psi, sin psi)
+    and P = x^2; the polynomial has the sign of the psi-derivative of the rate.
+    """
+    u, v, gx = math.sqrt(CH.Q - d), math.sqrt(d), g * x
+    one_p, one_m = [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]
+    A = _padd(_pmul_rows([gx * gx + CH.Q + CH.sigma_z2], one_p),
+              _pmul_rows([2.0 * gx], _padd(_pmul_rows([u], one_m), [0.0, 2.0 * v])))
+    A_psi = _pmul_rows([2.0 * gx], _padd([0.0, -2.0 * u], _pmul_rows([v], one_m)))
+    B = _padd(_padd([0.0, 0.0, 4.0 * gx * gx], _pmul_rows([0.0, 4.0 * gx * v], one_p)),
+              _pmul_rows([d + CH.sigma_z2], _pmul_rows(one_p, one_p)))
+    B_psi = _padd(_pmul_rows([0.0, 4.0 * gx * gx], one_m),
+                  _pmul_rows([2.0 * gx * v], _pmul_rows(one_m, one_p)))
+    return _padd(_pmul_rows(A_psi, B), [-c for c in _pmul_rows(A, B_psi)])
+
+
+def _arc_best(g, P, d):
+    """Largest rate on the arc at each power P: over the real roots of the sextic
+    in [-1, 1] (np.roots, batched as companion matrices) and the arc's endpoints."""
+    P = np.atleast_1d(np.asarray(P, dtype=float))
+    c = np.array([np.broadcast_to(ck, P.shape) for ck in _sextic(g, np.sqrt(P), d)]).T
+    psi = [np.full(P.shape, -0.5 * math.pi), np.full(P.shape, 0.5 * math.pi)]
+    lead = np.abs(c[:, 6]) > 1e-12 * np.abs(c).max(axis=1)
+    comp = np.zeros(P.shape + (6, 6))
+    comp[:, 1:, :-1] = np.eye(5)
+    comp[:, :, -1] = -c[:, :6] / np.where(lead, c[:, 6], 1.0)[:, None]
+    roots = np.linalg.eigvals(comp)
+    for k in np.flatnonzero(~lead & np.any(c != 0.0, axis=1)):
+        z = np.roots(c[k, ::-1])
+        roots[k] = np.pad(z, (0, 6 - z.size), constant_values=np.nan)
+    real = (np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))) & (np.abs(roots.real) <= 1.0)
+    psi += [np.where(real[:, j], 2.0 * np.arctan(roots[:, j].real), -0.5 * math.pi)
+            for j in range(6)]
+    return np.max([_rates(g, P, np.cos(p), np.sin(p), d, CH, 2.0) for p in psi], axis=0)
+
+
+def _grid_dual(table, grid, w, budget):
+    """Rate of the dual solution on a power grid: each node takes the grid power
+    maximizing R - lam*P, lam bisected to the least multiplier within budget."""
+    rows = np.arange(table.shape[0])
+
+    def alloc(lam):
+        k = np.argmax(table - lam * grid, axis=1)
+        return w @ grid[k], w @ table[rows, k]
+
+    if alloc(0.0)[0] <= budget:
+        return alloc(0.0)[1]
+    lo, hi = 0.0, 1.0
+    while alloc(hi)[0] > budget:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if alloc(mid)[0] > budget else (lo, mid)
+    return alloc(hi)[1]
+
+
+@pytest.mark.parametrize("mode", optimize.MODES)
+@pytest.mark.parametrize("fading,nodes", [
+    (Rayleigh(), 8), (Discrete(points=(0.3, 1.0, 2.2), probs=(0.2, 0.5, 0.3)), 1),
+    (Discrete(points=(0.5, 1.3), probs=(0.6, 0.4)), 1)], ids=["rayleigh8", "discrete3", "discrete2"])
+def test_maximize_rate_beats_uncapped_grid_dual(fading, nodes, mode):
+    # reference: the dual solved on 2001 geometric powers up to 1e3 budgets, at
+    # the solution's shared rho (fixed-rho) or each power's best arc point
+    # (adaptive-rho, from the sextic's roots)
+    rule = make_rule(fading, nodes)
+    g, w = np.array(rule.nodes), np.array(rule.weights)
+    for d, budget in ((CH.Q, 0.02), (CH.Q, 0.1), (0.91, 0.05), (0.3, 2.5)):
+        sol = maximize_rate(CH, fading, d, budget, mode=mode, nodes=nodes)
+        assert avg_power(rule, sol.policy) <= budget * (1.0 + 1e-9)
+        grid = np.concatenate(([0.0], np.geomspace(1e-6 * budget, 1e3 * budget, 2000)))
+        if mode == "fixed-rho":
+            k = int(np.argmax(sol.policy.power))
+            r1, r2 = sol.policy.rho1[k], sol.policy.rho2[k]
+            table = _rates(g[:, None], grid, r1, r2, d, CH, 2.0)
+        else:
+            table = np.array([_arc_best(gi, grid, d) for gi in g])
+            # each powered node sits at the arc's best point for its power
+            for gi, p, r1, r2 in zip(g, sol.policy.power, sol.policy.rho1, sol.policy.rho2):
+                if p > 0.0:
+                    assert _rates(gi, p, r1, r2, d, CH, 2.0) >= _arc_best(gi, p, d)[0] - 1e-12
+        assert sol.rate >= _grid_dual(table, grid, w, budget) - 1e-9
+
+
+def test_arc_solution_matches_the_sextic_roots():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        g, P, d = rng.uniform(0.0, 4.0), 10.0 ** rng.uniform(-6.0, 3.0), rng.uniform(1e-3, 1.0)
+        _, _, R = optimize_rho_per_state(g, P, d, CH)
+        assert R >= _arc_best(g, P, d)[0] - 1e-12
+
+
+def test_fixed_rho_responses_maximize_the_lagrangian():
+    # each node's power under a multiplier maximizes R - lam*P over P >= 0:
+    # random arc points, plus one whose marginal rate falls, rises and falls
+    # again (g = 0.801, d = 0.9949, psi = -0.810), so its hull segment starts
+    # at P > 0 and its branches come from np.roots
+    rng = np.random.default_rng(17)
+    g = np.concatenate(([0.801], rng.uniform(0.0, 4.0, 60)))
+    d = np.concatenate(([0.9949], rng.uniform(1e-3, 1.0, 60)))
+    psi = np.concatenate(([-0.810], rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 60)))
+    nodes = responses.FixedRho(g, d, psi, 1, CH, 2.0)
+    assert (nodes.elem == 0).sum() > 2  # the example has two branches besides P = 0
+    grid = np.concatenate(([0.0], np.geomspace(1e-8, 1e4, 20001)))
+    table = _rates(g[:, None], grid, nodes.rho1[:, None], nodes.rho2[:, None], d[:, None],
+                   CH, 2.0)
+    for lam in np.geomspace(1e-3, 10.0, 25):
+        P = nodes.powers(np.full(g.size, lam))[0]
+        got = _rates(g, P, nodes.rho1, nodes.rho2, d, CH, 2.0) - lam * P
+        assert (got >= (table - lam * grid).max(axis=1) - 1e-12).all()

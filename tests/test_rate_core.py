@@ -140,9 +140,8 @@ def test_cond_var_s_given_shat_y_interior_residual():
 
 
 def test_converse_rate_identity_with_achievability():
-    # K's correlations round-trip through K0k = rho_k sqrt(K00 Kkk); comparing
-    # at the round-tripped rhos makes both paths see identical inputs, and the
-    # shared kernel then yields bit-identical rates
+    # K keeps the correlations it was built from, so both paths see identical
+    # inputs and the shared kernel yields bit-identical rates
     rng = np.random.default_rng(13)
     for _ in range(2000):
         g, P, cp = draw(rng)
@@ -201,3 +200,16 @@ def test_psd_feasible_implies_disk():
 def test_zero_over_zero_rho_convention():
     K = ConverseCovariance(0.0, 0.5, 0.5, 0.0, 0.0)
     assert K.rho1 == 0.0 and K.rho2 == 0.0
+
+
+def test_converse_keeps_the_correlations_it_was_built_from():
+    # a near-zero-rate draw: read back from the cross terms, rho was off by an
+    # ulp and the converse rate by 6e-12 relative
+    g, P, r1, r2, d = (0.9303174716423954, 6.681883951322113, 0.059938701165300146,
+                       0.4691153493056322, 0.9956447423891543)
+    K = ConverseCovariance.from_rhos(P, CH.Q - d, d, r1, r2)
+    assert (K.rho1, K.rho2) == (r1, r2)
+    assert converse_rate(g, K, CH) == rate_per_state(g, P, CodingParams(r1, r2, d), CH)
+    # a directly built covariance reads them from the cross terms, 0/0 as 0
+    assert (ConverseCovariance(0.0, 0.5, 0.5, 0.0, 0.0).rho1,
+            ConverseCovariance(2.0, 0.5, 0.5, 0.5, 0.0).rho1) == (0.0, 0.5)
