@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--samples", type=int, default=1_000_000)
     p_val.add_argument("--mc-sets", type=int, default=20)
     p_val.add_argument("--self-test-corrupt", metavar="IDENTITY",
-                       help="test hook: corrupt one identity's tolerance to 0")
+                       help="test hook: set one identity's tolerance to -1, so that it fails")
     p_val.set_defaults(func=cmd_validate)
 
     return parser

@@ -4,19 +4,23 @@ Power allocation across fading states is solved by Lagrangian decomposition
 (Goldsmith & Varaiya, IEEE Trans. IT 1997; Palomar & Fonollosa, IEEE Trans.
 SP 2005). For a multiplier lam every node maximizes rate - lam*P exactly,
 with no power table and no cap (responses.py), and lam is bisected to meet
-the average-power budget. The bisection runs on a batch of independent
-problems at once (in fixed-rho mode every (d, psi) of a distortion grid),
-each with its own multiplier and stop test. A primal-recovery step then
-meets each budget exactly: it mixes the responses at the two ends of the
-final multiplier bracket, and a node that jumps across its concave-hull
-segment there is also pinned at either end of the segment while the other
-nodes meet the budget again.
+the average-power budget, starting from the mean marginal rate at uniform
+power. The bisection runs on a batch of independent problems at once (in
+fixed-rho mode every (d, psi) of a distortion grid), each with its own
+multiplier and stop test. A primal-recovery step then meets each budget
+exactly: it mixes the responses at the two ends of the final multiplier
+bracket, and a node that jumps across its concave-hull segment there is
+also pinned at the segment's low-power end while the other nodes meet the
+budget again. The weak-duality bound at the final multiplier certifies
+each solve; a solve whose rate stays more than RECOVERY_GAP below it
+carries a "duality gap" warning.
 
 The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
 to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
-mode finds the shared psi by a 49-point scan and a regula-falsi search for a
-zero of the envelope derivative dV/dpsi. All searches are deterministic.
+mode takes the best psi of a 49-point scan and refines it by a regula-falsi
+search for a zero of the envelope derivative dV/dpsi. All searches are
+deterministic.
 """
 
 from __future__ import annotations
@@ -32,15 +36,12 @@ from scipy.optimize import brentq
 from .ergodic import make_rule
 from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy, in_disk
 from .rate_core import _rate_kernel
-from .responses import FixedRho, adaptive_powers, arc_psi
+from .responses import FixedRho, adaptive_powers, arc_marginal, arc_psi
 
 MODES = ("fixed-rho", "adaptive-rho")
 
 #: Budget-matching tolerance of the multiplier bisection, relative to the budget.
 BUDGET_TOL = 1e-9
-
-#: Relative budget miss of the bisection's response reported as a duality gap.
-GAP_WARN = 1e-3
 
 #: Default distortion grid: 50 log-spaced values in [1e-3 Q, Q].
 DEFAULT_GRID_POINTS = 50
@@ -56,14 +57,6 @@ POWER_FLOOR = 1e-12
 #: number of solves then jumps by up to 3 with ulp-level changes of the rates.
 POWER_RTOL = 1e-8
 
-#: Default budget-matching tolerance of _dual_solve; the solvers pass 0, so
-#: each bisection runs to its bracket floor before the primal recovery.
-BISECT_TOL = 1e-6
-
-#: Relative width of the multiplier bracket at which the bisection stops a
-#: problem whose power cannot meet the tolerance (it steps across the budget).
-BISECT_FLOOR = 1e-9
-
 #: Bracket floor of the solvers' bisections. The primal recovery mixes the
 #: responses at the bracket ends, which moves every continuous node along
 #: its response curve to second order in the bracket width; both allocations
@@ -75,8 +68,10 @@ RECOVERY_FLOOR = 1e-6
 #: distortion grid.
 CHUNK_ROWS = 2 ** 11
 
-#: Duality gap, in rate units, above which the primal recovery also tries
-#: pinning a jumping node at either end of its concave-hull segment.
+#: Certified duality gap, in rate units, above which the primal recovery
+#: also pins the nodes that jump across their concave-hull segments, and
+#: above which a solve warns. Measured gaps are either below 3e-13 or
+#: above 1e-7.
 RECOVERY_GAP = 1e-12
 
 #: Width in psi at which the fixed-rho search for dV/dpsi = 0 stops.
@@ -204,38 +199,41 @@ def _take(new: _Response, old: _Response, rows: np.ndarray) -> _Response:
                      np.where(r, new.rho1, old.rho1), np.where(r, new.rho2, old.rho2))
 
 
+def _marginal_hint(m: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplier brackets (lo, hi) for _dual_solve from the marginal rates m at uniform
+    power, one row per problem: their mean is near the problem's multiplier."""
+    est = _wsum(np.maximum(m, 0.0), weights)
+    return 0.8 * est, 1.25 * est
+
+
 def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
-                budget: np.ndarray, hint: tuple[np.ndarray, np.ndarray] | None = None,
-                tol: float = BISECT_TOL, floor: float = BISECT_FLOOR
-                ) -> tuple[_Response, np.ndarray, tuple[np.ndarray, np.ndarray],
-                           tuple[tuple[str, ...], ...]]:
+                budget: np.ndarray, hint: tuple[np.ndarray, np.ndarray], floor: float
+                ) -> tuple[_Response, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Bisection on the power multipliers of a batch of independent problems.
 
     respond maps one multiplier per problem to a _Response with one row per
     problem; budget holds the problems' budgets. hint is a (lo, hi) pair of
-    multiplier vectors from nearby solves; the returned brackets can seed
-    the next ones. Each problem stops on its own test: its power within tol
-    of its budget, or its bracket narrower than floor relative, since the
-    response's power is a step function of the multiplier and may never meet
-    tol. A stopped problem is re-evaluated at its own multiplier, which
-    reproduces its response, so no result depends on the rest of the batch.
-    Returns budget-feasible responses, the multipliers, the brackets and per
-    problem a "duality gap" warning when its power still misses the budget
-    by more than GAP_WARN (it jumps across the final bracket); _recover
+    multiplier vectors near the solutions, from nearby solves or from
+    _marginal_hint; a problem whose hi is not positive starts from (0, 1).
+    The returned brackets can seed the next solves. The response's power is
+    a step function of the multiplier and may never meet the budget, so each
+    problem stops on its own bracket: narrower than floor relative, or below
+    1e-12 of its starting hi, where its multiplier counts as 0. A stopped
+    problem is re-evaluated at its own multiplier, which reproduces its
+    response, so no result depends on the rest of the batch. Returns
+    budget-feasible responses, the multipliers and the brackets; _recover
     spends the slack.
     """
     zero = np.zeros_like(budget)
     resp = respond(zero)
     free = _wsum(resp.power, weights) <= budget * (1.0 + BUDGET_TOL)
     if free.all():
-        return resp, zero, (zero, zero), ((),) * budget.size
+        return resp, zero, (zero, zero)
 
-    if hint is None:
-        lo, hi = zero, np.ones_like(budget)
-    else:
-        seeded = hint[1] > 0.0
-        lo, hi = np.where(seeded, hint[0], 0.0), np.where(seeded, hint[1], 1.0)
+    seeded = hint[1] > 0.0
+    lo, hi = np.where(seeded, hint[0], 0.0), np.where(seeded, hint[1], 1.0)
     lo, hi = np.where(free, 0.0, lo), np.where(free, 0.0, hi)
+    cut = 1e-12 * hi
     resp_hi = respond(hi)
     p_hi = _wsum(resp_hi.power, weights)
     for _ in range(80):
@@ -251,13 +249,12 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
         p = _wsum(resp.power, weights)
         move = down & (p <= budget)
         resp_hi = _take(resp, resp_hi, move | ~down)
-        p_hi = np.where(move, p, p_hi)
         hi = np.where(move, lo, hi)
-        lo = np.where(move, np.where(lo < 1e-12, 0.0, lo / 2.0), lo)
+        lo = np.where(move, np.where(lo < cut, 0.0, lo / 2.0), lo)
         down = move & (lo > 0.0)
 
     for _ in range(70):
-        done = (np.abs(p_hi - budget) <= tol * budget) | (hi - lo <= floor * hi)
+        done = (hi - lo <= floor * hi) | (hi <= cut)
         if done.all():
             break
         mid = np.where(done, hi, 0.5 * (lo + hi))
@@ -266,17 +263,12 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
         take = done | (p_mid <= budget)
         resp_hi = _take(resp_mid, resp_hi, take)
         lo, hi = np.where(take, lo, mid), np.where(take, mid, hi)
-        p_hi = np.where(take, p_mid, p_hi)
-
-    gap = ~free & (np.abs(p_hi - budget) > GAP_WARN * budget)
-    warns = tuple((f"duality gap: primal power {p:.6g} vs budget {b:.6g} at lam={h:.6g}",)
-                  if miss else () for miss, p, b, h in zip(gap, p_hi, budget, hi))
-    return resp_hi, hi, (lo, hi), warns
+    return resp_hi, hi, (lo, hi)
 
 
 def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, budget: np.ndarray,
              resp: _Response, lo: np.ndarray, hi: np.ndarray,
-             jumps: Callable | None = None) -> _Response:
+             jumps: Callable | None = None) -> tuple[_Response, np.ndarray]:
     """Primal recovery: meet each problem's budget exactly after _dual_solve.
 
     resp is the response at hi, within budget; the one at lo exceeds it. The
@@ -284,56 +276,55 @@ def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, budget: 
     nodes across the bracket's width, and gives a node that jumps across its
     concave-hull segment the power that closes the budget. rebuild maps
     powers to a _Response; respond also takes one multiplier per node.
-    jumps(lo, hi) marks those nodes, when the responses can jump: each is
-    then also pinned at either end of its segment (its response to hi or
-    to lo) while the other nodes meet the budget by a second bisection,
-    unless the weak-duality bound at hi, sum_i w_i (R_i - hi P_i) + hi B,
-    already certifies the mixture within RECOVERY_GAP. A problem keeps the
-    best of these candidates, and resp when none raises its rate.
+    By weak duality (Yu & Lui, IEEE Trans. Commun. 2006) the Lagrangian at
+    hi, sum_i w_i (R_i - hi P_i) + hi B over resp, bounds every rate within
+    the budget B. When the mixture stays more than RECOVERY_GAP below it,
+    and jumps(lo, hi) marks the nodes whose responses jump, those nodes are
+    pinned at their response to hi while the others meet the budget by a
+    second bisection; a problem keeps the better of the two. Returns the
+    responses and each problem's certified gap, the bound minus the rate.
     """
+    bound = _wsum(resp.value - hi[:, None] * resp.power, weights) + hi * budget
     spent = _wsum(resp.power, weights)
     rows = (lo > 0.0) & (spent < budget)
     if not rows.any():
-        return resp
+        return resp, bound - _wsum(resp.value, weights)
     over = respond(np.where(rows, lo, hi))
     extra = _wsum(over.power, weights) - spent
     t = np.where(rows & (extra > 0.0), (budget - spent) / np.where(extra > 0.0, extra, 1.0), 0.0)
     cand = rebuild(resp.power + np.minimum(t, 1.0)[:, None] * (over.power - resp.power))
     best = _take(cand, resp, rows & (_wsum(cand.value, weights) >= _wsum(resp.value, weights)))
-    if jumps is None:
-        return best
-    bound = _wsum(resp.value - hi[:, None] * resp.power, weights) + hi * budget
-    rows &= bound - _wsum(best.value, weights) > RECOVERY_GAP
-    if not rows.any():
-        return best
+    gap = bound - _wsum(best.value, weights)
+    rows &= gap > RECOVERY_GAP
+    if jumps is None or not rows.any():
+        return best, gap
     pin_nodes = jumps(np.where(rows, lo, hi), hi) & rows[:, None]
-    for pin, hint in ((hi, (0.5 * lo, lo)), (lo, (hi, 2.0 * hi))):
-        # the pinned nodes alone must leave budget for the others
-        left = budget - _wsum(np.where(pin_nodes, respond(pin).power, 0.0), weights)
-        idx = np.flatnonzero(pin_nodes.any(axis=1) & (left > 0.0))
-        if not idx.size:
-            continue
+    # the pinned nodes alone must leave budget for the others
+    left = budget - _wsum(np.where(pin_nodes, resp.power, 0.0), weights)
+    idx = np.flatnonzero(pin_nodes.any(axis=1) & (left > 0.0))
+    if not idx.size:
+        return best, gap
 
-        def pinned(mu, pin=pin, idx=idx):
-            lam = np.repeat(hi[:, None], weights.size, axis=1)
-            lam[idx] = np.where(pin_nodes[idx], pin[idx, None], mu[:, None])
-            return _rows(respond(lam), idx)
+    def pinned(mu):
+        lam = np.repeat(hi[:, None], weights.size, axis=1)
+        lam[idx] = np.where(pin_nodes[idx], hi[idx, None], mu[:, None])
+        return _rows(respond(lam), idx)
 
-        def rebuild_rows(P, idx=idx, power=best.power):
-            full = power.copy()
-            full[idx] = P
-            return _rows(rebuild(full), idx)
+    def rebuild_rows(P):
+        full = best.power.copy()
+        full[idx] = P
+        return _rows(rebuild(full), idx)
 
-        r, _, (l2, h2), _ = _dual_solve(pinned, weights, budget[idx], tol=0.0,
-                                        hint=(hint[0][idx], hint[1][idx]), floor=RECOVERY_FLOOR)
-        r = _recover(pinned, rebuild_rows, weights, budget[idx], r, l2, h2)
-        up = ((_wsum(r.value, weights) > _wsum(best.value[idx], weights))
-              & (_wsum(r.power, weights) <= budget[idx] * (1.0 + BUDGET_TOL)))
-        best = _Response(*(z.copy() for z in (best.value, best.power, best.rho1, best.rho2)))
-        for new, old in zip((r.value, r.power, r.rho1, r.rho2),
-                            (best.value, best.power, best.rho1, best.rho2)):
-            old[idx[up]] = new[up]
-    return best
+    r, _, (l2, h2) = _dual_solve(pinned, weights, budget[idx], (0.5 * lo[idx], lo[idx]),
+                                 RECOVERY_FLOOR)
+    r, _ = _recover(pinned, rebuild_rows, weights, budget[idx], r, l2, h2)
+    up = ((_wsum(r.value, weights) > _wsum(best.value[idx], weights))
+          & (_wsum(r.power, weights) <= budget[idx] * (1.0 + BUDGET_TOL)))
+    best = _Response(*(z.copy() for z in (best.value, best.power, best.rho1, best.rho2)))
+    for new, old in zip((r.value, r.power, r.rho1, r.rho2),
+                        (best.value, best.power, best.rho1, best.rho2)):
+        old[idx[up]] = new[up]
+    return best, bound - _wsum(best.value, weights)
 
 
 def _fixed_response(nodes: FixedRho, P: np.ndarray) -> _Response:
@@ -359,14 +350,15 @@ def _arc_response(g: np.ndarray, P: np.ndarray, d: float, ch: ChannelParams,
 def _solve_fixed(g, w, ds, budget, ch, base):
     """Shared-(rho1, rho2) mode for every distortion in ds at once.
 
-    Per distortion: a 49-point rho2 scan, then for the best one or two
-    basins an Illinois regula-falsi search for dV/dpsi = 0 between the basin
-    and the neighbour across which the slope changes sign. dV/dpsi is the
-    envelope derivative sum_i w_i dR_i/dpsi at the recovered powers. Every
-    stage is one batched multiplier bisection plus primal recovery over its
+    Per distortion: a 49-point rho2 scan, then an Illinois regula-falsi
+    search for dV/dpsi = 0 between the scan's argmax and the neighbour
+    across which the slope changes sign (the scan's only other local
+    maximum is the arc's end psi = pi/2). dV/dpsi is the envelope
+    derivative sum_i w_i dR_i/dpsi at the recovered powers. Every stage is
+    one batched multiplier bisection plus primal recovery over its
     independent (d, psi) problems, CHUNK_ROWS (problem, node) rows at a
-    time. Returns the responses (one row per distortion), multipliers and
-    warnings of the best basins.
+    time. Returns the responses (one row per distortion), the multipliers
+    and the certified duality gaps.
     """
     psi_grid = np.arcsin(np.linspace(-1.0, 1.0, 49))
     k = psi_grid.size
@@ -378,81 +370,60 @@ def _solve_fixed(g, w, ds, budget, ch, base):
                          g.size, ch, base)
         budgets = np.full(d.size, budget)
         if hint is None:
-            # the mean marginal rate at uniform power is near the multiplier
-            est = _wsum(np.maximum(nodes.marginal(math.sqrt(budget)), 0.0).reshape(-1, g.size), w)
-            hint = (0.8 * est, 1.25 * est)
+            hint = _marginal_hint(nodes.marginal(math.sqrt(budget)).reshape(-1, g.size), w)
         nodes.anchor(np.where(hint[1] > 0.0, np.sqrt(hint[0] * hint[1]), 1.0))
 
         def respond(lam):
             return _fixed_response(nodes, nodes.powers(lam)[0])
 
-        resp, lam, (lo, hi), warns = _dual_solve(respond, w, budgets, hint=hint, tol=0.0,
-                                                 floor=floor)
+        resp, lam, (lo, hi) = _dual_solve(respond, w, budgets, hint, floor)
         # the scan only ranks, so its gaps get no pinned re-solves
-        resp = _recover(respond, lambda P: _fixed_response(nodes, P), w, budgets, resp, lo, hi,
-                        nodes.jumps if keep else None)
+        resp, gap = _recover(respond, lambda P: _fixed_response(nodes, P), w, budgets, resp,
+                             lo, hi, nodes.jumps if keep else None)
         return (_wsum(resp.value, w), _wsum(nodes.slope(resp.power), w), lo * 0.997,
-                hi * 1.003) + ((resp, lam, warns) if keep else ())
+                hi * 1.003, lam, gap) + ((resp,) if keep else ())
 
     def solve(d, psi, floor, hint=None, keep=False):
         """Recovered solves of problems (d, psi): rates, slopes dV/dpsi, widened
-        brackets and, when keep, the responses, multipliers and warnings."""
+        brackets, multipliers, gaps and, when keep, the responses."""
         out = [chunk(d[c], psi[c], floor, None if hint is None else (hint[0][c], hint[1][c]),
                      keep) for c in (slice(s, s + step) for s in range(0, d.size, step))]
-        cat = [np.concatenate(z) for z in list(zip(*out))[:4]]
-        if not keep:
-            return cat[0], cat[1], (cat[2], cat[3])
-        resp = _Response(*(np.concatenate([getattr(o[4], f) for o in out])
-                           for f in ("value", "power", "rho1", "rho2")))
-        return (cat[0], cat[1], (cat[2], cat[3]), resp, np.concatenate([o[5] for o in out]),
-                [wn for o in out for wn in o[6]])
+        cat = [np.concatenate(z) for z in list(zip(*out))[:6]]
+        if keep:
+            cat.append(_Response(*(np.concatenate([getattr(o[6], f) for o in out])
+                                   for f in ("value", "power", "rho1", "rho2"))))
+        return cat
 
     # the scan ranks the grid's psi values: after the recovery a bracket floor
-    # of 1e-3 leaves its rates off by O(1e-6 lam B), far below the 2e-3 basin test
-    coarse, c_slope, c_hint = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3)
-    coarse = coarse.reshape(ds.size, k)
-    owner, basins = [], []
-    for i, row in enumerate(coarse):
-        order = np.argsort(-row)
-        picked = [int(order[0])]
-        for idx in order[1:]:
-            if all(abs(int(idx) - b) > 2 for b in picked) and row[idx] >= row[order[0]] - 2e-3:
-                picked.append(int(idx))
-            if len(picked) == 2:
-                break
-        owner += [i] * len(picked)
-        basins += picked
-    owner, basins = np.array(owner), np.array(basins)
-    d = ds[owner]
-    flat = owner * k + basins
-    hint = (c_hint[0][flat], c_hint[1][flat])
-
-    best_v, f0, hint, resp, lam, warns = solve(d, psi_grid[basins], RECOVERY_FLOOR, hint, True)
+    # of 1e-3 leaves its rates off by O(1e-6 lam B)
+    coarse, c_slope, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3)
+    row = np.arange(ds.size) * k
+    basin = np.argmax(coarse.reshape(ds.size, k), axis=1)
+    best_v, f0, h_lo, h_hi, lam, gap, resp = solve(
+        ds, psi_grid[basin], RECOVERY_FLOOR, (c_lo[row + basin], c_hi[row + basin]), True)
     # bracket [a, b] between the basin and the neighbour across which dV/dpsi
     # changes sign; a basin without one keeps its grid point
     right = f0 > 0.0
-    nb = np.where(right, np.minimum(basins + 1, k - 1), np.maximum(basins - 1, 0))
-    f_nb = c_slope[owner * k + nb]
-    a, b = np.where(right, psi_grid[basins], psi_grid[nb]), np.where(right, psi_grid[nb],
-                                                                      psi_grid[basins])
+    nb = np.where(right, np.minimum(basin + 1, k - 1), np.maximum(basin - 1, 0))
+    f_nb = c_slope[row + nb]
+    a, b = np.where(right, psi_grid[basin], psi_grid[nb]), np.where(right, psi_grid[nb],
+                                                                     psi_grid[basin])
     fa, fb = np.where(right, f0, f_nb), np.where(right, f_nb, f0)
     active = (fa > 0.0) & (fb < 0.0)
-    side = np.zeros(owner.size)
+    side = np.zeros(ds.size)
     for _ in range(60):
         if not active.any():
             break
         i = np.flatnonzero(active)
         x = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
-        v, fx, (hl, hh), r, lm, wn = solve(d[i], x, RECOVERY_FLOOR, (hint[0][i], hint[1][i]), True)
-        hint[0][i], hint[1][i] = hl, hh
+        v, fx, h_lo[i], h_hi[i], lm, gp, r = solve(ds[i], x, RECOVERY_FLOOR,
+                                                   (h_lo[i], h_hi[i]), True)
         up = v > best_v[i]
         best_v[i] = np.where(up, v, best_v[i])
         lam[i] = np.where(up, lm, lam[i])
+        gap[i] = np.where(up, gp, gap[i])
         for f in ("value", "power", "rho1", "rho2"):
             getattr(resp, f)[i] = np.where(up[:, None], getattr(r, f), getattr(resp, f)[i])
-        for m, j in enumerate(i):
-            if up[m]:
-                warns[j] = wn[m]
         # Illinois: halve the value at an end that is kept twice in a row
         pos = fx > 0.0
         fb[i] = np.where(pos & (side[i] > 0), 0.5 * fb[i], fb[i])
@@ -461,10 +432,7 @@ def _solve_fixed(g, w, ds, budget, ch, base):
         b[i], fb[i] = np.where(pos, b[i], x), np.where(pos, fb[i], fx)
         side[i] = np.where(pos, 1.0, -1.0)
         active[i] = (b[i] - a[i] > PSI_TOL) & (fx != 0.0)
-    # the first basin wins ties
-    best = np.array([np.flatnonzero(owner == i)[np.argmax(best_v[owner == i])]
-                     for i in range(ds.size)])
-    return _rows(resp, best), lam[best], tuple(warns[j] for j in best)
+    return resp, lam, gap
 
 
 def _solve_adaptive(g, w, d, budget, ch, base):
@@ -474,11 +442,11 @@ def _solve_adaptive(g, w, d, budget, ch, base):
     def respond(lam):
         return _arc_response(g, adaptive_powers(g, d, ch, base, float(lam[0])), d, ch, base)
 
-    resp, lam, (lo, hi), warns = _dual_solve(respond, w, budgets, tol=0.0,
-                                             floor=RECOVERY_FLOOR)
-    resp = _recover(respond, lambda P: _arc_response(g, P, d, ch, base), w, budgets, resp,
-                    lo, hi)
-    return resp, lam, warns
+    hint = _marginal_hint(arc_marginal(g, math.sqrt(budget), d, ch, base)[None], w)
+    resp, lam, (lo, hi) = _dual_solve(respond, w, budgets, hint, RECOVERY_FLOOR)
+    resp, gap = _recover(respond, lambda P: _arc_response(g, P, d, ch, base), w, budgets, resp,
+                         lo, hi)
+    return resp, lam, gap
 
 
 def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
@@ -511,16 +479,16 @@ def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
         return out
 
     if mode == "fixed-rho":
-        resp, lam, warns = _solve_fixed(g, w, np.array(ds, dtype=float), P_budget, ch, base)
-        solved = [(resp, b, lam[b], warns[b]) for b in range(len(ds))]
+        resp, lam, gap = _solve_fixed(g, w, np.array(ds, dtype=float), P_budget, ch, base)
+        solved = [(resp, b, lam[b], gap[b]) for b in range(len(ds))]
     else:
         solved = []
         for d in ds:
-            resp, lam, warns = _solve_adaptive(g, w, d, P_budget, ch, base)
-            solved.append((resp, 0, lam[0], warns[0]))
+            resp, lam, gap = _solve_adaptive(g, w, d, P_budget, ch, base)
+            solved.append((resp, 0, lam[0], gap[0]))
 
     out = []
-    for d, (resp, b, lam, warns) in zip(ds, solved):
+    for d, (resp, b, lam, gap) in zip(ds, solved):
         power, value = resp.power[b], resp.value[b]
         # the rate at P = 0 is rho-independent: canonicalize silent nodes to (0, 0)
         zero = power == 0.0
@@ -530,10 +498,12 @@ def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
         rho1, rho2 = zip(*(_into_disk(float(a), float(c)) for a, c in zip(rho1, rho2)))
         rate = float(w @ value)
         policy = PerStatePolicy(rule.nodes, rule.weights, tuple(power), rho1, rho2)
+        warnings = () if gap <= RECOVERY_GAP else (
+            f"duality gap: rate {gap:.3g} below the weak-duality bound at lam={lam:.6g}",)
         out.append(RateSolution(rate=rate, policy=policy, feasible=rate >= 0.0, mode=mode,
                                 d=d, lam=float(lam), power=float(w @ power),
                                 per_node_kappa=tuple(bool(v >= 0.0) for v in value),
-                                warnings=warns))
+                                warnings=warnings))
     return out
 
 
@@ -628,16 +598,13 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     if not (ch.d_min <= D_target <= ch.Q):
         raise ConfigError(f"D_target={D_target} outside ({ch.d_min:g}, {ch.Q}]")
 
-    rates: dict[tuple[float, float], float] = {}
-
-    def rate_at(d: float, p: float) -> float:
-        if (d, p) not in rates:
-            rates[(d, p)] = maximize_rate(ch, fading, d, p, mode=mode, nodes=nodes,
-                                          base=base).rate
-        return rates[(d, p)]
+    rates: dict[float, float] = {}
 
     def residual(p: float) -> float:
-        return rate_at(D_target, p) - R_target
+        if p not in rates:
+            rates[p] = maximize_rate(ch, fading, D_target, p, mode=mode, nodes=nodes,
+                                     base=base).rate
+        return rates[p] - R_target
 
     if residual(0.0) >= 0.0:
         return 0.0
@@ -665,33 +632,8 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
                         maxiter=200))
     if residual(root) < 0.0:
         # hi reaches the target, so the set is never empty
-        root = min(p for (d, p), r in rates.items()
-                   if d == D_target and p > root and r >= R_target)
-    return _envelope_consistency(ch, R_target, D_target, root, rate_at)
-
-
-def _envelope_consistency(ch: ChannelParams, R_target: float, D_target: float,
-                          root: float, rate_at: Callable[[float, float], float]) -> float:
-    """Guard against non-concavity of R*(d): re-solve on a local envelope if it lifts."""
-
-    def probe_env(p: float) -> float:
-        pts = []
-        for f in (0.75, 1.0, 1.3):
-            dd = f * D_target
-            if ch.d_min <= dd <= ch.Q:
-                pts.append((dd, rate_at(dd, p)))
-        env = concave_envelope(sorted(pts))
-        return float(np.interp(D_target, [q[0] for q in env], [q[1] for q in env]))
-
-    if probe_env(root) <= R_target + 5e-4:
-        return root
-    lo = root / 2.0
-    for _ in range(40):
-        if probe_env(lo) < R_target or lo < POWER_FLOOR:
-            break
-        lo /= 2.0
-    return float(brentq(lambda p: probe_env(p) - R_target, lo, root,
-                        xtol=1e-12 * ch.sigma_z2, rtol=1e-9, maxiter=200))
+        root = min(p for p, r in rates.items() if p > root and r >= R_target)
+    return root
 
 
 def power_distortion_curve(ch: ChannelParams, fading: FadingModel,

@@ -101,6 +101,16 @@ def arc_psi(g, x, d: float, ch: ChannelParams, psi=0.0):
                   -0.5 * math.pi, 0.5 * math.pi, 1e-15)
 
 
+def arc_marginal(g, x, d: float, ch: ChannelParams, base: float):
+    """Marginal rate dR/dP at P = x^2 > 0 with each node at its psi*(P).
+
+    By the envelope theorem this is the slope of the rate maximized on the
+    arc, c*f_x / (2x) at psi*(P).
+    """
+    fx = arc_terms(g, x, arc_psi(g, x, d, ch), d, ch)[0]
+    return 0.5 / math.log(base) * fx / (2.0 * x)
+
+
 def adaptive_powers(g: np.ndarray, d: float, ch: ChannelParams, base: float,
                     lam: float) -> np.ndarray:
     """Best power per node under multiplier lam, each node at its own psi*(P).

@@ -70,17 +70,24 @@ def draw_converse_cov(rng: np.random.Generator, ch: ChannelParams,
 def run_validation(cfg: Config, draws: int = 10000, samples: int = 1_000_000,
                    mc_sets: int = 20, seed: int = 42,
                    corrupt: str | None = None) -> dict:
-    """Run all identity suites; deterministic given (seed, draws, samples)."""
+    """Run all identity suites; deterministic given (seed, draws, samples).
+
+    corrupt names an identity whose tolerance is set to -1, so that it fails:
+    a test hook for the failure path.
+    """
     cfg.validate()
     if samples < 1000:
         raise ValueError("samples must be at least 1000")
+    if corrupt is not None and corrupt not in TOLERANCES:
+        raise ValueError(f"unknown identity {corrupt!r}; expected one of {', '.join(TOLERANCES)}")
     ch = cfg.channel
     base = cfg.log_base
     rng = np.random.Generator(np.random.PCG64(seed))
     checks: list[IdentityCheck] = []
 
     def add(name: str, observed: float) -> None:
-        tol = 0.0 if corrupt == name else TOLERANCES[name]
+        # every observed error is >= 0 (or nan), so a tolerance of -1 fails
+        tol = -1.0 if corrupt == name else TOLERANCES[name]
         checks.append(IdentityCheck(name, float(observed), tol, bool(observed <= tol)))
 
     # (i) closed-form rate vs the log-det oracle; (ii) converse functional identity

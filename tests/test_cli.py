@@ -185,8 +185,6 @@ def test_validate_passes_and_is_deterministic(tmp_path, config_path):
 
 
 def test_validate_corrupt_hook_fails(tmp_path, config_path, capsys):
-    # the hook sets a tolerance to 0, so it needs an identity with rounding
-    # error; the converse identity holds exactly
     out = tmp_path / "r.json"
     code = main(["validate", "--config", config_path, "--draws", "50",
                  "--samples", "200000", "--mc-sets", "1", "--seed", "42",
@@ -195,7 +193,26 @@ def test_validate_corrupt_hook_fails(tmp_path, config_path, capsys):
     assert "rate-oracle-agreement" in capsys.readouterr().err
     report = json.loads(out.read_text())
     entry = [e for e in report["identities"] if e["name"] == "rate-oracle-agreement"][0]
-    assert entry["passed"] is False and entry["tolerance"] == 0.0
+    assert entry["passed"] is False and entry["tolerance"] == -1.0
+
+
+def test_validate_corrupt_hook_fails_an_exact_identity(tmp_path, config_path, capsys):
+    # the converse identity holds bit for bit, so a tolerance of 0 would pass it
+    out = tmp_path / "r.json"
+    code = main(["validate", "--config", config_path, "--draws", "50",
+                 "--samples", "200000", "--mc-sets", "1", "--seed", "42",
+                 "--self-test-corrupt", "converse-identity", "--out", str(out)])
+    assert code == 1
+    assert "converse-identity" in capsys.readouterr().err
+    entry = [e for e in json.loads(out.read_text())["identities"]
+             if e["name"] == "converse-identity"][0]
+    assert entry["observed"] == 0.0 and entry["passed"] is False
+
+
+def test_validate_corrupt_hook_rejects_unknown_names(capsys):
+    assert main(["validate", "--draws", "50", "--samples", "200000", "--mc-sets", "1",
+                 "--self-test-corrupt", "no-such-identity"]) == 2
+    assert "no-such-identity" in capsys.readouterr().err
 
 
 def test_validate_rejects_small_samples(capsys):
