@@ -109,7 +109,8 @@ def _weights_from_recurrence(nodes: np.ndarray, alpha: np.ndarray, beta: np.ndar
 
 
 @lru_cache(maxsize=32)
-def _rayleigh_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _rayleigh_rule(n: int) -> QuadratureRule:
+    """The n-point Rayleigh rule; every make_rule call with this n shares it."""
     alpha, beta = _stieltjes(*_rayleigh_grid(n), n)
     nodes = eigh_tridiagonal(alpha, beta, eigvals_only=True)
     weights = _weights_from_recurrence(nodes, alpha, beta)
@@ -126,7 +127,7 @@ def _rayleigh_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         checks.append(abs(float(weights @ nodes ** 4) - 2.0) / 2.0)
     if max(checks) >= 5e-14:
         raise ConfigError(f"could not build an accurate Rayleigh rule with n={n}")
-    return tuple(nodes), tuple(weights)
+    return QuadratureRule(nodes.tolist(), weights.tolist(), "Laguerre-transformed")
 
 
 def make_rule(fading: FadingModel, n: int = 64) -> QuadratureRule:
@@ -144,8 +145,7 @@ def make_rule(fading: FadingModel, n: int = 64) -> QuadratureRule:
         raise ConfigError("continuous fading needs at least 1 quadrature node")
     if n > MAX_NODES:
         raise ConfigError(f"quadrature size {n} exceeds {MAX_NODES} (weight underflow risk)")
-    nodes, weights = _rayleigh_rule(n)
-    return QuadratureRule(nodes, weights, "Laguerre-transformed")
+    return _rayleigh_rule(n)
 
 
 def ergodic_rate(rule: QuadratureRule, policy: PerStatePolicy, d: float,

@@ -17,10 +17,11 @@ carries a "duality gap" warning.
 
 The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
-to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
-mode takes the best psi of a 49-point scan and refines it by a regula-falsi
-search for a zero of the envelope derivative dV/dpsi. All searches are
-deterministic.
+to (0, 0). In adaptive-rho mode each node takes its own psi*(P), and one
+responses.AdaptiveRho per solve warm-starts each multiplier's power and psi
+solves from the last ones; fixed-rho mode takes the best psi of a 49-point
+scan and refines it by a regula-falsi search for a zero of the envelope
+derivative dV/dpsi. All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ergodic import make_rule
 from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy, in_disk
 from .rate_core import _rate_kernel
-from .responses import FixedRho, adaptive_powers, arc_marginal, arc_psi
+from .responses import AdaptiveRho, FixedRho, arc_marginal, arc_psi
 
 MODES = ("fixed-rho", "adaptive-rho")
 
@@ -336,14 +336,12 @@ def _fixed_response(nodes: FixedRho, P: np.ndarray) -> _Response:
     return _Response(*(z.reshape(-1, nodes.n) for z in (value, P, nodes.rho1, nodes.rho2)))
 
 
-def _arc_response(g: np.ndarray, P: np.ndarray, d: float, ch: ChannelParams,
-                  base: float) -> _Response:
-    """One problem's response at per-node powers P, each node at its psi*(P)."""
-    P = np.asarray(P, dtype=float).reshape(-1)
+def _arc_response(nodes: AdaptiveRho, P: np.ndarray, psi: np.ndarray) -> _Response:
+    """One problem's response at per-node powers P and arc angles psi."""
     fin = np.isfinite(P)
-    psi = arc_psi(g, np.sqrt(np.where(fin, P, 0.0)), d, ch)
     r1, r2 = np.cos(psi), np.sin(psi)
-    value = np.where(fin, _rates(g, np.where(fin, P, 0.0), r1, r2, d, ch, base), np.inf)
+    value = np.where(fin, _rates(nodes.g, np.where(fin, P, 0.0), r1, r2, nodes.d, nodes.ch,
+                                 nodes.base), np.inf)
     return _Response(value[None], P[None], r1[None], r2[None])
 
 
@@ -436,16 +434,21 @@ def _solve_fixed(g, w, ds, budget, ch, base):
 
 
 def _solve_adaptive(g, w, d, budget, ch, base):
-    """Per-node (rho1, rho2, P) mode: exact responses to each multiplier, then recovery."""
+    """Per-node (rho1, rho2, P) mode: exact responses to each multiplier, then recovery.
+
+    One AdaptiveRho lives for the solve, so each response starts from the
+    previous ones and no result depends on an earlier solve.
+    """
     budgets = np.array([budget])
+    nodes = AdaptiveRho(g, d, ch, base)
 
     def respond(lam):
-        return _arc_response(g, adaptive_powers(g, d, ch, base, float(lam[0])), d, ch, base)
+        return _arc_response(nodes, *nodes.powers(float(lam[0])))
 
     hint = _marginal_hint(arc_marginal(g, math.sqrt(budget), d, ch, base)[None], w)
     resp, lam, (lo, hi) = _dual_solve(respond, w, budgets, hint, RECOVERY_FLOOR)
-    resp, gap = _recover(respond, lambda P: _arc_response(g, P, d, ch, base), w, budgets, resp,
-                         lo, hi)
+    resp, gap = _recover(respond, lambda P: _arc_response(nodes, P[0], nodes.psi(P[0])), w,
+                         budgets, resp, lo, hi)
     return resp, lam, gap
 
 
@@ -593,6 +596,9 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     per call. Raises UnreachableError when even p_cap is insufficient; the
     bracketing never steps above p_cap.
     """
+    # imported here: scipy.optimize costs every process ~20 MB and ~0.1 s
+    from scipy.optimize import brentq
+
     if R_target < 0:
         raise ConfigError("R_target must be nonnegative")
     if not (ch.d_min <= D_target <= ch.Q):

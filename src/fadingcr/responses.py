@@ -7,7 +7,9 @@ rate of rate_core._rate_kernel is c*ln(A/B) plus a constant, c =
 dR/dP = c*N / (2T) is rational, with N = A'B - AB' of degree 2 and
 T = x*A*B of degree 5, and it falls where S = N'T - NT' < 0. Every solve
 here is a bracketed Newton iteration in ln P or in psi: nothing is tabled,
-no power is capped, and the caller evaluates the rates.
+no power is capped, and the caller evaluates the rates. FixedRho and
+AdaptiveRho each serve one solve: they memoize their responses by
+multiplier and start every Newton iteration from earlier solves.
 """
 
 from __future__ import annotations
@@ -111,38 +113,77 @@ def arc_marginal(g, x, d: float, ch: ChannelParams, base: float):
     return 0.5 / math.log(base) * fx / (2.0 * x)
 
 
-def adaptive_powers(g: np.ndarray, d: float, ch: ChannelParams, base: float,
-                    lam: float) -> np.ndarray:
-    """Best power per node under multiplier lam, each node at its own psi*(P).
+class AdaptiveRho:
+    """Best powers of one problem's nodes, each at its own psi*(P), for one solve.
 
     By the envelope theorem the maximized rate R*(P) has slope
-    dR/dP(P, psi*(P)), which falls in P, so the power solves slope = lam by
-    a Newton iteration over ln P with the reduced curvature
-    f_xx - f_xpsi^2 / f_psipsi. The marginal rate at P = 0+ is unbounded
-    when g*sqrt(Q - d) > 0 and c*g^2/(Q + sigma_z2) otherwise; at lam = 0
-    every node with g > 0 takes unbounded power.
+    dR/dP(P, psi*(P)), which falls in P, so a node's power solves
+    slope = lam by a Newton iteration over y = ln P with the reduced
+    curvature f_xx - f_xpsi^2 / f_psipsi, and each of its steps solves
+    psi*(P) by arc_psi. The marginal rate at P = 0+ is unbounded when
+    g*sqrt(Q - d) > 0 and c*g^2/(Q + sigma_z2) otherwise; at lam = 0 every
+    node with g > 0 takes unbounded power.
+
+    Each node keeps its last solve: multiplier, y, slope d ln m / d y and
+    psi*. A power solve starts from the first-order prediction
+    y + (ln lam' - ln lam) / slope where that moves y by less than 1, and
+    from ln(c / lam) otherwise; every psi solve starts from the node's
+    last psi*. The start thus depends on the multipliers seen before, so
+    each multiplier's powers and psi* are kept and a visited multiplier
+    reproduces them bit for bit.
     """
-    c = 0.5 / math.log(base)
-    if lam <= 0.0:
-        return np.where(g > 0.0, np.inf, 0.0)
-    m0 = np.where(g * math.sqrt(ch.Q - d) > 0.0, np.inf, c * g * g / (ch.Q + ch.sigma_z2))
-    P = np.zeros_like(g)
-    live = lam < m0
-    if live.any():
-        gl, psi = g[live], np.zeros(int(live.sum()))
 
-        def fun(y, i):
-            # ln(m* / lam) over y = ln P, m* = c f_x / (2x), psi warm from the last step
-            x = np.exp(0.5 * y)
-            psi[i] = arc_psi(gl[i], x, d, ch, psi[i])
-            fx, fxx, _, fpp, fxp = arc_terms(gl[i], x, psi[i], d, ch)
-            fxx = fxx - np.where(fpp < 0.0, fxp * fxp / np.where(fpp < 0.0, fpp, -1.0), 0.0)
+    def __init__(self, g: np.ndarray, d: float, ch: ChannelParams, base: float):
+        self.g, self.d, self.ch, self.base = g, d, ch, base
+        self.c = 0.5 / math.log(base)
+        self.m0 = np.where(g * math.sqrt(ch.Q - d) > 0.0, np.inf,
+                           self.c * g * g / (ch.Q + ch.sigma_z2))
+        # each node's last interior solve: multiplier, y = ln P, slope, psi*
+        self._lam, self._y = np.full(g.size, np.nan), np.zeros(g.size)
+        self._slope, self._psi = np.zeros(g.size), np.zeros(g.size)
+        self._memo: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def powers(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Best power and psi*(P) of every node under multiplier lam (psi 0 where P is 0 or inf)."""
+        if lam in self._memo:
+            return self._memo[lam]
+        g, c = self.g, self.c
+        psi = np.zeros(g.size)
+        if lam <= 0.0:
+            self._memo[lam] = np.where(g > 0.0, np.inf, 0.0), psi
+            return self._memo[lam]
+        P, live = np.zeros(g.size), np.flatnonzero(lam < self.m0)
+        if live.size:
+            gl, ps, slope = g[live], self._psi[live], np.zeros(live.size)
+
+            def fun(y, i):
+                # ln(m* / lam) over y = ln P, m* = c f_x / (2x)
+                x = np.exp(0.5 * y)
+                ps[i] = arc_psi(gl[i], x, self.d, self.ch, ps[i])
+                fx, fxx, _, fpp, fxp = arc_terms(gl[i], x, ps[i], self.d, self.ch)
+                fxx = fxx - np.where(fpp < 0.0, fxp * fxp / np.where(fpp < 0.0, fpp, -1.0), 0.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    slope[i] = 0.5 * (x * fxx / fx - 1.0)
+                    return (np.where(fx > 0.0, np.log(np.maximum(c * fx / (2.0 * lam * x), 0.0)),
+                                     -np.inf), slope[i])
+
+            cold = np.full(live.size, math.log(c / lam))
             with np.errstate(divide="ignore", invalid="ignore"):
-                return (np.where(fx > 0.0, np.log(np.maximum(c * fx / (2.0 * lam * x), 0.0)),
-                                 -np.inf), 0.5 * (x * fxx / fx - 1.0))
+                pred = self._y[live] + (math.log(lam) - np.log(self._lam[live])) / self._slope[live]
+            y = newton(fun, np.where(np.abs(pred - self._y[live]) < 1.0, pred, cold),
+                       -np.inf, np.inf, 1e-9)
+            P[live] = np.exp(y)
+            # psi* at the final power, one short Newton solve from the last step's
+            psi[live] = ps = arc_psi(gl, np.sqrt(P[live]), self.d, self.ch, ps)
+            self._lam[live], self._y[live], self._slope[live], self._psi[live] = lam, y, slope, ps
+        self._memo[lam] = P, psi
+        return P, psi
 
-        P[live] = np.exp(newton(fun, np.full(gl.size, math.log(c / lam)), -np.inf, np.inf, 1e-9))
-    return P
+    def psi(self, P: np.ndarray) -> np.ndarray:
+        """psi*(P) of every node at powers P, each solve from the node's last psi*."""
+        inner = (P > 0.0) & np.isfinite(P)
+        return np.where(inner, arc_psi(self.g, np.sqrt(np.where(inner, P, 0.0)), self.d,
+                                       self.ch, self._psi), 0.0)
 
 
 def _pmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:

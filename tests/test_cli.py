@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fadingcr.cli import main
+from fadingcr.cli import _frontier_rows, main
+from fadingcr.model import ChannelParams, Rayleigh
+from fadingcr.optimize import maximize_rate, rd_frontier
 
 REFERENCE_CONFIG = {
     "Q": 1.0, "sigma_z2": 1.0, "P_avg": 2.5,
@@ -231,3 +234,22 @@ def test_csv_numbers_have_12_significant_digits(tmp_path, config_path):
     # 12 significant digits of a non-terminating value keep 12 digit chars
     digits = row[0].replace(".", "").replace("-", "").lstrip("0")
     assert len(digits) >= 11
+
+
+def test_region_adaptive_solves_are_independent(tmp_path, config_path):
+    # each solve keeps its own warm-start state: a second run in the same
+    # process writes the same bytes, and every frontier point is the lone
+    # solve at its d_used
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (out1, out2):
+        assert main(["region", "--config", config_path, "--points", "8",
+                     "--mode", "adaptive-rho", "--out", str(out)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    ch = ChannelParams(1.0, 1.0, 2.5)
+    frontier = rd_frontier(ch, Rayleigh(), ch.P_avg, grid=np.geomspace(1e-3, 1.0, 8),
+                           mode="adaptive-rho", nodes=16)
+    rows = [line.split(",") for line in out1.read_text().splitlines()[1:]]
+    assert rows == _frontier_rows(frontier, "adaptive-rho")
+    for p in frontier.points:
+        assert p.R == maximize_rate(ch, Rayleigh(), p.d_used, ch.P_avg, mode="adaptive-rho",
+                                    nodes=16).rate

@@ -206,3 +206,17 @@ def test_avg_power():
     deg = make_rule(Degenerate(0.3))
     pol = PerStatePolicy.constant(deg.nodes, deg.weights, 1.7, 0.0, 0.0)
     assert avg_power(deg, pol) == 1.7
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    code = "import sys, fadingcr.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(ergodic.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_rayleigh_rule_is_shared():
+    rule = make_rule(Rayleigh(), 128)
+    assert make_rule(Rayleigh(), 128) is rule
+    assert type(rule.nodes[0]) is float and type(rule.weights[0]) is float
