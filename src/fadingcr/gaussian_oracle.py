@@ -113,8 +113,7 @@ def _submatrix(matrix: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> 
     return matrix[np.ix_(rows, cols)]
 
 
-def _resolve(cov: JointCovariance | np.ndarray, names: Iterable[str] | str,
-             variables: Sequence[str] = VARIABLES) -> list[int]:
+def _resolve(names: Iterable[str] | str, variables: Sequence[str] = VARIABLES) -> list[int]:
     if isinstance(names, str):
         names = (names,)
     return [variables.index(n) for n in names]
@@ -129,8 +128,8 @@ def schur_conditional_variance(cov: JointCovariance | np.ndarray,
     falls back to the pseudo-inverse (logged, not fatal).
     """
     matrix = cov.matrix if isinstance(cov, JointCovariance) else cov
-    ti = _resolve(matrix, target, variables)[0]
-    gi = _resolve(matrix, given, variables)
+    ti = _resolve(target, variables)[0]
+    gi = _resolve(given, variables)
     scale = max(matrix.trace(), 1.0)
     gi = [i for i in gi if matrix[i, i] > DEGENERATE_FACTOR * scale]
     vt = float(matrix[ti, ti])
@@ -157,8 +156,8 @@ def mutual_information(cov: JointCovariance | np.ndarray,
                        variables: Sequence[str] = VARIABLES) -> float:
     """I(A;B) = 0.5 log [det(Sigma_A) det(Sigma_B) / det(Sigma_AB)], degenerate coordinates dropped."""
     matrix = cov.matrix if isinstance(cov, JointCovariance) else cov
-    ia = _resolve(matrix, set_a, variables)
-    ib = _resolve(matrix, set_b, variables)
+    ia = _resolve(set_a, variables)
+    ib = _resolve(set_b, variables)
     scale = max(matrix.trace(), 1.0)
     ia = [i for i in ia if matrix[i, i] > DEGENERATE_FACTOR * scale]
     ib = [i for i in ib if matrix[i, i] > DEGENERATE_FACTOR * scale]

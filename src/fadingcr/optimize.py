@@ -51,10 +51,11 @@ DEFAULT_GRID_FLOOR = 1e-3
 POWER_CAP = float(2 ** 16)
 POWER_FLOOR = 1e-12
 
-#: Relative tolerance of min_power's Brent search. The attained rate is
-#: rough at ~1e-9 bits near P_min (the inner solver's tolerances), which is
-#: ~3e-9 relative in P; a tolerance below that chases the roughness, and the
-#: number of solves then jumps by up to 3 with ulp-level changes of the rates.
+#: Relative width at which min_power's bracket of solved budgets stops. The
+#: attained rate is rough at ~1e-9 bits near P_min (the inner solver's
+#: tolerances), which is ~3e-9 relative in P; a tolerance below that chases
+#: the roughness, and the number of solves then jumps with ulp-level changes
+#: of the rates.
 POWER_RTOL = 1e-8
 
 #: Bracket floor of the solvers' bisections. The primal recovery mixes the
@@ -116,6 +117,8 @@ class RateSolution:
     feasible: bool
     mode: str
     d: float
+    #: the final power multiplier, which is the slope dR*/dB of the optimal
+    #: rate in the budget (0 when the budget is not binding)
     lam: float
     power: float
     per_node_kappa: tuple[bool, ...]
@@ -583,63 +586,63 @@ def rd_frontier(ch: ChannelParams, fading: FadingModel, P_budget: float,
 def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target: float,
               mode: str = "fixed-rho", nodes: int = 64, base: float = 2.0,
               p_cap: float = POWER_CAP, warm_lo: float | None = None) -> float:
-    """Smallest average power budget attaining rate >= R_target at distortion <= D_target.
+    """Smallest average budget attaining rate >= R_target at distortion parameter d = D_target.
 
-    A cold call brackets the root by factors of 4 from the noise power
-    sigma_z2, the natural unit of P (rates are invariant under a joint scale
-    of Q, d, sigma_z2 and P): downwards, to the floor POWER_FLOOR, while the
-    budget already reaches the target, upwards otherwise. A warm lower bound
-    (warm_lo, from a neighbouring cell) is stepped up from gently instead.
-    Brent root-finding on the attained-rate residual follows; should its
-    root fall just short of the target, the smallest budget solved above it
-    that reaches the target is returned. Each (d, P) is solved at most once
-    per call. Raises UnreachableError when even p_cap is insufficient; the
-    bracketing never steps above p_cap.
+    Every solve is maximize_rate at d = D_target. The search starts at
+    warm_lo, a lower bound from a neighbouring cell that is returned at once
+    if it reaches the target, or else at the noise power sigma_z2, the
+    natural unit of P (rates are invariant under a joint scale of Q, d,
+    sigma_z2 and P). The solved budgets bracket the answer: lo is the
+    largest that misses the target (at first the zero budget) and hi the
+    smallest that reaches it. Each next budget is the Newton step from the
+    last solve, whose multiplier lam is the slope dR*/dB. A step outside the
+    open bracket, or lam = 0, falls back to x4 from lo while hi is unknown
+    (capped at p_cap), /4 from hi while lo = 0 (floored at POWER_FLOOR), and
+    the midpoint otherwise. Returns hi once hi - lo <= POWER_RTOL * hi or
+    hi <= POWER_FLOOR, so maximize_rate at the answer reaches the target.
+    Each budget is solved at most once, and none above p_cap; raises
+    UnreachableError when p_cap misses.
     """
-    # imported here: scipy.optimize costs every process ~20 MB and ~0.1 s
-    from scipy.optimize import brentq
-
     if R_target < 0:
         raise ConfigError("R_target must be nonnegative")
     if not (ch.d_min <= D_target <= ch.Q):
         raise ConfigError(f"D_target={D_target} outside ({ch.d_min:g}, {ch.Q}]")
 
-    rates: dict[float, float] = {}
+    def solve(p: float) -> RateSolution:
+        return maximize_rate(ch, fading, D_target, p, mode=mode, nodes=nodes, base=base)
 
-    def residual(p: float) -> float:
-        if p not in rates:
-            rates[p] = maximize_rate(ch, fading, D_target, p, mode=mode, nodes=nodes,
-                                     base=base).rate
-        return rates[p] - R_target
-
-    if residual(0.0) >= 0.0:
+    if solve(0.0).rate >= R_target:
         return 0.0
-
-    lo = max(warm_lo or 0.0, 0.0)
-    if lo > 0.0:
-        if residual(lo) >= 0.0:
-            return lo
-        # gentler steps near a warm lower bound, growing to doubling
-        hi, step, max_step = lo, 1.3, 2.0
-    else:
-        step = max_step = 4.0
-        lo = hi = min(ch.sigma_z2, p_cap)
-        while residual(lo) >= 0.0:
-            if lo <= POWER_FLOOR:
-                return lo
-            hi, lo = lo, max(lo / step, POWER_FLOOR)
-    while residual(hi) < 0.0:
-        if hi >= p_cap:
+    warm = max(warm_lo or 0.0, 0.0)
+    lo, hi, p = 0.0, math.inf, warm or min(ch.sigma_z2, p_cap)
+    while True:
+        sol = solve(p)
+        excess = sol.rate - R_target
+        if excess >= 0.0:
+            if p == warm:
+                return p
+            hi = p
+        elif p >= p_cap:
             raise UnreachableError(
                 f"rate {R_target} at distortion {D_target} unreachable below budget {p_cap:g}")
-        lo, hi = hi, min(hi * step, p_cap)
-        step = min(step * 1.3, max_step)
-    root = float(brentq(residual, lo, hi, xtol=1e-12 * ch.sigma_z2, rtol=POWER_RTOL,
-                        maxiter=200))
-    if residual(root) < 0.0:
-        # hi reaches the target, so the set is never empty
-        root = min(p for p, r in rates.items() if p > root and r >= R_target)
-    return root
+        else:
+            lo = p
+        if hi * (1.0 - POWER_RTOL) <= lo or hi <= POWER_FLOOR:
+            return hi
+        # Newton on a concave R* lands below the root from either side, so a
+        # step moves at least POWER_RTOL / 2 relative toward the root and one
+        # can cross it; lam = 0 gives no step, and lo lies outside the bracket
+        step = lo
+        if sol.lam > 0.0:
+            step = p + math.copysign(max(abs(excess) / sol.lam, 0.5 * POWER_RTOL * p), -excess)
+        if lo < step < min(hi, p_cap):
+            p = step
+        elif hi == math.inf:
+            p = min(4.0 * lo, p_cap)
+        elif lo == 0.0:
+            p = max(hi / 4.0, POWER_FLOOR)
+        else:
+            p = 0.5 * (lo + hi)
 
 
 def power_distortion_curve(ch: ChannelParams, fading: FadingModel,
@@ -659,23 +662,12 @@ def power_distortion_curve(ch: ChannelParams, fading: FadingModel,
     for r in rates:
         larger_d: float | None = 0.0
         for d in reversed(d_grid):
-            below = prev_rate[d]
-            if below is None or larger_d is None:
-                out[(r, d)] = None
-                prev_rate[d] = None
-                larger_d = None
-                continue
-            warm = max(below, larger_d)
-            try:
-                p = min_power(ch, fading, r, d, mode=mode, nodes=nodes, base=base,
-                              warm_lo=warm if warm > 0 else None)
-            except UnreachableError:
-                out[(r, d)] = None
-                prev_rate[d] = None
-                larger_d = None
-                continue
-            p = max(p, warm)
-            out[(r, d)] = p
-            prev_rate[d] = p
-            larger_d = p
+            p = None
+            if prev_rate[d] is not None and larger_d is not None:
+                try:
+                    p = min_power(ch, fading, r, d, mode=mode, nodes=nodes, base=base,
+                                  warm_lo=max(prev_rate[d], larger_d))
+                except UnreachableError:
+                    pass
+            out[(r, d)] = prev_rate[d] = larger_d = p
     return out

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,8 @@ from fadingcr import optimize, responses
 from fadingcr.model import (ChannelParams, CodingParams, ConfigError, Degenerate, Discrete,
                             PerStatePolicy, Rayleigh, in_disk)
 from fadingcr.ergodic import avg_power, ergodic_rate, make_rule
-from fadingcr.optimize import (UnreachableError, _dual_solve, _into_disk, _rates, _Response,
-                               concave_envelope, maximize_rate, min_power,
+from fadingcr.optimize import (POWER_RTOL, UnreachableError, _dual_solve, _into_disk, _rates,
+                               _Response, concave_envelope, maximize_rate, min_power,
                                optimize_rho_per_state, power_distortion_curve, rd_frontier)
 
 CH = ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=2.5)
@@ -324,10 +328,46 @@ def test_min_power_unreachable_solves_nothing_above_cap(solves, sigma_z2):
 
 
 def test_min_power_reaches_target_where_brent_stops_short():
-    # brentq's root here fell 1e-8 short of the target
+    # a root-finder that returns an unsolved budget can fall short of the
+    # target (Brent's method fell 1e-8 short here); min_power returns a
+    # solved budget that reaches it
     R = 0.3059469816782637
     p = min_power(CH, Rayleigh(), R, CH.Q, nodes=64)
     assert maximize_rate(CH, Rayleigh(), CH.Q, p, nodes=64).rate >= R
+
+
+def test_min_power_answer_is_solved_with_a_miss_just_below(solves):
+    # the search stops on two solved budgets: the answer reaches the target,
+    # and a budget at most POWER_RTOL below it misses. Newton steps on the
+    # multiplier lam = dR*/dB take 7 solves on this cold cell, the zero budget
+    # included; bracketing by factors of 4 and Brent's method took 9
+    R = 0.3
+    cold_p = min_power(CH, Rayleigh(), R, CH.Q, nodes=64)
+    cold = list(solves)
+    assert len(cold) < 9
+    solves.clear()
+    # the D = 0.91 Q cell starts from the D = Q answer as a warm lower bound,
+    # and that cell's solves hold its miss
+    d_warm = 0.91 * CH.Q
+    curve = power_distortion_curve(CH, Rayleigh(), [R], [d_warm, CH.Q], nodes=64)
+    for d, p, seen in ((CH.Q, cold_p, cold), (d_warm, curve[(R, d_warm)], list(solves))):
+        assert (d, p) in seen
+        assert maximize_rate(CH, Rayleigh(), d, p, nodes=64).rate >= R
+        assert any(q >= (1.0 - POWER_RTOL) * p
+                   and maximize_rate(CH, Rayleigh(), e, q, nodes=64).rate < R
+                   for e, q in seen)
+
+
+def test_min_power_does_not_load_scipy_optimize():
+    code = ("import sys\n"
+            "from fadingcr.model import ChannelParams, Degenerate\n"
+            "from fadingcr.optimize import min_power\n"
+            "min_power(ChannelParams(1.0, 1.0, 2.5), Degenerate(1.0), 0.2, 0.8, nodes=1)\n"
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(optimize.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_into_disk_passes_the_policy_disk_test():
@@ -504,8 +544,9 @@ def test_fixed_rho_frontier_working_set_is_bounded():
 
 
 def test_min_power_solve_count_steady_under_tiny_target_changes(solves):
-    # the attained rate is rough at ~1e-9 bits near P_min; a Brent tolerance
-    # below that roughness makes the solve count jump (14, 11, 11, 13 at 1e-9)
+    # the attained rate is rough at ~1e-9 bits near P_min; a stop tolerance
+    # below that roughness makes the solve count jump (14, 11, 11, 13 at 1e-9
+    # with Brent's method)
     counts = []
     for k in range(4):
         solves.clear()
