@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import ChannelParams, CodingParams, ConfigError, Degenerate, Discrete, FadingModel, PerStatePolicy, Rayleigh
 from .rate_core import rate_per_state
@@ -112,7 +111,8 @@ def _weights_from_recurrence(nodes: np.ndarray, alpha: np.ndarray, beta: np.ndar
 def _rayleigh_rule(n: int) -> QuadratureRule:
     """The n-point Rayleigh rule; every make_rule call with this n shares it."""
     alpha, beta = _stieltjes(*_rayleigh_grid(n), n)
-    nodes = eigh_tridiagonal(alpha, beta, eigvals_only=True)
+    # the eigenvalues of the Jacobi matrix, from its lower triangle
+    nodes = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, -1))
     weights = _weights_from_recurrence(nodes, alpha, beta)
     usable = np.isfinite(weights) & (weights > 0.0)  # extreme weights can underflow
     if not usable.all():

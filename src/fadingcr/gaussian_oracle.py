@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import ChannelParams, CodingParams
 from .rate_core import ConverseCovariance, NumericalError, PSD_EIG_TOL, _clamp0
@@ -207,6 +206,9 @@ def mc_estimate(g: float, P: float, cp: CodingParams, ch: ChannelParams,
     Deterministic given (seed, n): PCG64 uniforms mapped through the normal
     inverse CDF.
     """
+    # imported here, so that scipy stays off the solver's import path
+    from scipy.special import ndtri
+
     if n < 1000:
         raise ValueError("mc_estimate needs n >= 1000")
     cp.validate(ch)

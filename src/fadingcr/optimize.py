@@ -3,11 +3,12 @@
 Power allocation across fading states is solved by Lagrangian decomposition
 (Goldsmith & Varaiya, IEEE Trans. IT 1997; Palomar & Fonollosa, IEEE Trans.
 SP 2005). For a multiplier lam every node maximizes rate - lam*P exactly,
-with no power table and no cap (responses.py), and lam is bisected to meet
-the average-power budget, starting from the mean marginal rate at uniform
-power. The bisection runs on a batch of independent problems at once (in
+with no power table and no cap (responses.py), and lam is found by a
+safeguarded Newton iteration on the average-power budget, starting from
+the mean marginal rate at uniform power; the responses supply each node's
+dP/dlam. The iteration runs on a batch of independent problems at once (in
 fixed-rho mode every (d, psi) of a distortion grid), each with its own
-multiplier and stop test. A primal-recovery step then meets each budget
+multiplier bracket and stop test. A primal-recovery step then meets each budget
 exactly: it mixes the responses at the two ends of the final multiplier
 bracket, and a node that jumps across its concave-hull segment there is
 also pinned at the segment's low-power end while the other nodes meet the
@@ -40,7 +41,7 @@ from .responses import AdaptiveRho, FixedRho, arc_marginal, arc_psi
 
 MODES = ("fixed-rho", "adaptive-rho")
 
-#: Budget-matching tolerance of the multiplier bisection, relative to the budget.
+#: Relative tolerance within which an allocation's spent power meets its budget.
 BUDGET_TOL = 1e-9
 
 #: Default distortion grid: 50 log-spaced values in [1e-3 Q, Q].
@@ -58,10 +59,11 @@ POWER_FLOOR = 1e-12
 #: of the rates.
 POWER_RTOL = 1e-8
 
-#: Bracket floor of the solvers' bisections. The primal recovery mixes the
-#: responses at the bracket ends, which moves every continuous node along
-#: its response curve to second order in the bracket width; both allocations
-#: spend the budget, so the rate is off by the fourth order.
+#: Multiplier bracket floor of the solvers' Newton iterations. The primal
+#: recovery mixes the responses at the bracket ends, which moves every
+#: continuous node along its response curve to second order in the bracket
+#: width; both allocations spend the budget, so the rate is off by the
+#: fourth order.
 RECOVERY_FLOOR = 1e-6
 
 #: Most (problem, node) rows the fixed-rho solver holds at once: a batch of
@@ -100,12 +102,20 @@ def _into_disk(r1: float, r2: float) -> tuple[float, float]:
 
 @dataclass
 class _Response:
-    """Per-node best response to a multiplier: rates, powers and rho pair."""
+    """Per-node best response to a multiplier: rates, powers, rho pair and dP/dlam.
+
+    dpower defaults to zeros, the value of a response without a derivative.
+    """
 
     value: np.ndarray
     power: np.ndarray
     rho1: np.ndarray
     rho2: np.ndarray
+    dpower: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.dpower is None:
+            self.dpower = np.zeros_like(self.power)
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,7 @@ def _wsum(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _rows(r: _Response, idx) -> _Response:
     """The response of the problems idx."""
-    return _Response(r.value[idx], r.power[idx], r.rho1[idx], r.rho2[idx])
+    return _Response(*(getattr(r, f.name)[idx] for f in dataclasses.fields(r)))
 
 
 def _take(new: _Response, old: _Response, rows: np.ndarray) -> _Response:
@@ -198,8 +208,8 @@ def _take(new: _Response, old: _Response, rows: np.ndarray) -> _Response:
     if not rows.any():
         return old
     r = rows[:, None]
-    return _Response(np.where(r, new.value, old.value), np.where(r, new.power, old.power),
-                     np.where(r, new.rho1, old.rho1), np.where(r, new.rho2, old.rho2))
+    return _Response(*(np.where(r, getattr(new, f.name), getattr(old, f.name))
+                       for f in dataclasses.fields(new)))
 
 
 def _marginal_hint(m: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,19 +222,27 @@ def _marginal_hint(m: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
 def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
                 budget: np.ndarray, hint: tuple[np.ndarray, np.ndarray], floor: float
                 ) -> tuple[_Response, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Bisection on the power multipliers of a batch of independent problems.
+    """Safeguarded Newton iteration on the power multipliers of a batch of independent problems.
 
     respond maps one multiplier per problem to a _Response with one row per
     problem; budget holds the problems' budgets. hint is a (lo, hi) pair of
     multiplier vectors near the solutions, from nearby solves or from
-    _marginal_hint; a problem whose hi is not positive starts from (0, 1).
-    The returned brackets can seed the next solves. The response's power is
-    a step function of the multiplier and may never meet the budget, so each
-    problem stops on its own bracket: narrower than floor relative, or below
-    1e-12 of its starting hi, where its multiplier counts as 0. A stopped
-    problem is re-evaluated at its own multiplier, which reproduces its
-    response, so no result depends on the rest of the batch. Returns
-    budget-feasible responses, the multipliers and the brackets; _recover
+    _marginal_hint; a problem whose hi is not positive takes (0, 1). Each
+    problem starts at the middle of its hint and keeps a bracket of
+    evaluated multipliers: lo, the largest that overspends (at first 0), and
+    hi, the smallest within budget (at first none). The next multiplier is
+    the Newton step on the spent power, with the slope sum_i w_i dP_i/dlam
+    of the response's dpower, moved at least floor/2 relative toward the
+    root so that it can cross it. A step outside the open bracket, a slope
+    that is not negative, or a step longer than half the one before it (as
+    in Numerical Recipes' rtsafe: a jumping power's slope misleads) falls
+    back to x2 from lo while there is no hi and to the midpoint otherwise.
+    The power may jump and never meet the budget, so each problem stops on
+    its own bracket: narrower than floor relative, or hi below 1e-12 of its
+    hint's hi, where its multiplier counts as 0. A stopped problem is
+    re-evaluated at its own hi, which reproduces its response, so no result
+    depends on the rest of the batch. Returns budget-feasible responses, the
+    multipliers and the brackets, which can seed the next solves; _recover
     spends the slack.
     """
     zero = np.zeros_like(budget)
@@ -234,39 +252,27 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
         return resp, zero, (zero, zero)
 
     seeded = hint[1] > 0.0
-    lo, hi = np.where(seeded, hint[0], 0.0), np.where(seeded, hint[1], 1.0)
-    lo, hi = np.where(free, 0.0, lo), np.where(free, 0.0, hi)
-    cut = 1e-12 * hi
-    resp_hi = respond(hi)
-    p_hi = _wsum(resp_hi.power, weights)
-    for _ in range(80):
-        up = ~free & (p_hi > budget)
-        if not up.any():
-            break
-        lo, hi = np.where(up, hi, lo), np.where(up, 2.0 * hi, hi)
-        resp_hi = respond(hi)
-        p_hi = _wsum(resp_hi.power, weights)
-    down = lo > 0.0
-    while down.any():
-        resp = respond(np.where(down, lo, hi))
-        p = _wsum(resp.power, weights)
-        move = down & (p <= budget)
-        resp_hi = _take(resp, resp_hi, move | ~down)
-        hi = np.where(move, lo, hi)
-        lo = np.where(move, np.where(lo < cut, 0.0, lo / 2.0), lo)
-        down = move & (lo > 0.0)
-
-    for _ in range(70):
-        done = (hi - lo <= floor * hi) | (hi <= cut)
+    cut = 1e-12 * np.where(seeded, hint[1], 1.0)
+    lam = np.where(seeded, 0.5 * (hint[0] + hint[1]), 0.5)
+    lo, hi, last = zero, np.where(free, 0.0, np.inf), np.full_like(budget, np.inf)
+    for _ in range(200):
+        done = ((hi - lo <= floor * hi) & (hi < np.inf)) | (hi <= cut)
         if done.all():
             break
-        mid = np.where(done, hi, 0.5 * (lo + hi))
-        resp_mid = respond(mid)
-        p_mid = _wsum(resp_mid.power, weights)
-        take = done | (p_mid <= budget)
-        resp_hi = _take(resp_mid, resp_hi, take)
-        lo, hi = np.where(take, lo, mid), np.where(take, mid, hi)
-    return resp_hi, hi, (lo, hi)
+        lam = np.where(done, hi, lam)
+        r = respond(lam)
+        excess = _wsum(r.power, weights) - budget
+        take = done | (excess <= 0.0)
+        resp = _take(r, resp, take)
+        lo, hi = np.where(take, lo, lam), np.where(take, lam, hi)
+        slope = _wsum(r.dpower, weights)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.abs(excess / slope)
+        step = lam + np.where(excess > 0.0, 1.0, -1.0) * np.maximum(newton, 0.5 * floor * lam)
+        ok = (slope < 0.0) & (newton <= 0.5 * last) & (lo < step) & (step < hi)
+        nxt = np.where(ok, step, np.where(hi == np.inf, 2.0 * lo, 0.5 * (lo + hi)))
+        last, lam = np.where(ok, newton, np.abs(nxt - lam)), nxt
+    return resp, hi, (lo, hi)
 
 
 def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, budget: np.ndarray,
@@ -284,7 +290,7 @@ def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, budget: 
     the budget B. When the mixture stays more than RECOVERY_GAP below it,
     and jumps(lo, hi) marks the nodes whose responses jump, those nodes are
     pinned at their response to hi while the others meet the budget by a
-    second bisection; a problem keeps the better of the two. Returns the
+    second _dual_solve; a problem keeps the better of the two. Returns the
     responses and each problem's certified gap, the bound minus the rate.
     """
     bound = _wsum(resp.value - hi[:, None] * resp.power, weights) + hi * budget
@@ -311,7 +317,10 @@ def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, budget: 
     def pinned(mu):
         lam = np.repeat(hi[:, None], weights.size, axis=1)
         lam[idx] = np.where(pin_nodes[idx], hi[idx, None], mu[:, None])
-        return _rows(respond(lam), idx)
+        r = _rows(respond(lam), idx)
+        # a pinned node's power does not move with mu
+        r.dpower = np.where(pin_nodes[idx], 0.0, r.dpower)
+        return r
 
     def rebuild_rows(P):
         full = best.power.copy()
@@ -356,7 +365,7 @@ def _solve_fixed(g, w, ds, budget, ch, base):
     across which the slope changes sign (the scan's only other local
     maximum is the arc's end psi = pi/2). dV/dpsi is the envelope
     derivative sum_i w_i dR_i/dpsi at the recovered powers. Every stage is
-    one batched multiplier bisection plus primal recovery over its
+    one batched multiplier search (_dual_solve) plus primal recovery over its
     independent (d, psi) problems, CHUNK_ROWS (problem, node) rows at a
     time. Returns the responses (one row per distortion), the multipliers
     and the certified duality gaps.
@@ -375,7 +384,8 @@ def _solve_fixed(g, w, ds, budget, ch, base):
         nodes.anchor(np.where(hint[1] > 0.0, np.sqrt(hint[0] * hint[1]), 1.0))
 
         def respond(lam):
-            return _fixed_response(nodes, nodes.powers(lam)[0])
+            P, _, dP = nodes.powers(lam)
+            return dataclasses.replace(_fixed_response(nodes, P), dpower=dP.reshape(-1, g.size))
 
         resp, lam, (lo, hi) = _dual_solve(respond, w, budgets, hint, floor)
         # the scan only ranks, so its gaps get no pinned re-solves
@@ -446,7 +456,8 @@ def _solve_adaptive(g, w, d, budget, ch, base):
     nodes = AdaptiveRho(g, d, ch, base)
 
     def respond(lam):
-        return _arc_response(nodes, *nodes.powers(float(lam[0])))
+        P, psi, dP = nodes.powers(float(lam[0]))
+        return dataclasses.replace(_arc_response(nodes, P, psi), dpower=dP[None])
 
     hint = _marginal_hint(arc_marginal(g, math.sqrt(budget), d, ch, base)[None], w)
     resp, lam, (lo, hi) = _dual_solve(respond, w, budgets, hint, RECOVERY_FLOOR)

@@ -62,6 +62,13 @@ def newton(fun: Callable, y, lo, hi, tol: float):
     return out.reshape(shape)
 
 
+def _dpower(P, lam, s):
+    """dP/dlam of powers P that solve m(P) = lam, from s = d ln m / d ln P: P / (lam s),
+    and 0 where s is not negative."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(s < 0.0, P / (lam * s), 0.0)
+
+
 def arc_terms(g, x, psi, d, ch: ChannelParams):
     """Partials of f = ln A - ln B at P = x^2 and rho = (cos psi, sin psi).
 
@@ -129,8 +136,8 @@ class AdaptiveRho:
     y + (ln lam' - ln lam) / slope where that moves y by less than 1, and
     from ln(c / lam) otherwise; every psi solve starts from the node's
     last psi*. The start thus depends on the multipliers seen before, so
-    each multiplier's powers and psi* are kept and a visited multiplier
-    reproduces them bit for bit.
+    each multiplier's powers, psi* and dP/dlam = P / (lam slope) are kept
+    and a visited multiplier reproduces them bit for bit.
     """
 
     def __init__(self, g: np.ndarray, d: float, ch: ChannelParams, base: float):
@@ -141,16 +148,17 @@ class AdaptiveRho:
         # each node's last interior solve: multiplier, y = ln P, slope, psi*
         self._lam, self._y = np.full(g.size, np.nan), np.zeros(g.size)
         self._slope, self._psi = np.zeros(g.size), np.zeros(g.size)
-        self._memo: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._memo: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def powers(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Best power and psi*(P) of every node under multiplier lam (psi 0 where P is 0 or inf)."""
+    def powers(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Best power, psi*(P) and dP/dlam of every node under multiplier lam (psi and
+        dP/dlam are 0 where P is 0 or inf)."""
         if lam in self._memo:
             return self._memo[lam]
         g, c = self.g, self.c
-        psi = np.zeros(g.size)
+        psi, dP = np.zeros(g.size), np.zeros(g.size)
         if lam <= 0.0:
-            self._memo[lam] = np.where(g > 0.0, np.inf, 0.0), psi
+            self._memo[lam] = np.where(g > 0.0, np.inf, 0.0), psi, dP
             return self._memo[lam]
         P, live = np.zeros(g.size), np.flatnonzero(lam < self.m0)
         if live.size:
@@ -175,9 +183,10 @@ class AdaptiveRho:
             P[live] = np.exp(y)
             # psi* at the final power, one short Newton solve from the last step's
             psi[live] = ps = arc_psi(gl, np.sqrt(P[live]), self.d, self.ch, ps)
+            dP[live] = _dpower(P[live], lam, slope)
             self._lam[live], self._y[live], self._slope[live], self._psi[live] = lam, y, slope, ps
-        self._memo[lam] = P, psi
-        return P, psi
+        self._memo[lam] = P, psi, dP
+        return P, psi, dP
 
     def psi(self, P: np.ndarray) -> np.ndarray:
         """psi*(P) of every node at powers P, each solve from the node's last psi*."""
@@ -356,8 +365,8 @@ class FixedRho:
         # N > 0 on a branch, so its end at a root of N has marginal rate 0
         self.m_hi = np.where(zero, -np.inf, np.where(np.isfinite(self.xr), np.maximum(
             self.marginal(self.xr, e), 0.0), 0.0))
-        # each row's multiplier and power at its last solve
-        self._memo = (np.full(e.size, np.nan), np.zeros(e.size))
+        # each row's multiplier, power and dP/dlam at its last solve
+        self._memo = (np.full(e.size, np.nan), np.zeros(e.size), np.zeros(e.size))
         # each row's Newton start: intercept and slope in ln lam, anchor solution
         self._ref = (np.full(e.size, np.nan), np.zeros(e.size), np.full(e.size, np.nan))
 
@@ -369,10 +378,12 @@ class FixedRho:
                 2.0 * x * (a0 + x * (a1 + x * a2)) * (b0 + x * (b1 + x * b2)))
 
     def _stationary(self, rows: np.ndarray, lam: np.ndarray, y0: np.ndarray):
-        """y = ln P with marginal rate lam on each row's branch, Newton from y0; and its fun."""
+        """y = ln P with marginal rate lam on each row's branch, Newton from y0; and the
+        slope d ln m / d y of each row's last Newton evaluation."""
         coef = self.coef[:, self.elem[rows]]
         with np.errstate(divide="ignore"):
             yl, yr = 2.0 * np.log(self.xl[rows]), 2.0 * np.log(self.xr[rows])
+        slope = np.zeros(rows.size)
 
         def fun(y, i):
             # ln(m / lam) and its slope over y, -inf where N <= 0
@@ -382,46 +393,51 @@ class FixedRho:
             dlog = x * ((a1 + 2.0 * a2 * x) / av + (b1 + 2.0 * b2 * x) / bv)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = self.c * nv / (2.0 * lam[i] * x * av * bv)
-                return (np.where(nv > 0.0, np.log(np.maximum(ratio, 0.0)), -np.inf),
-                        0.5 * (x * (n1 + 2.0 * n2 * x) / nv - 1.0 - dlog))
+                slope[i] = 0.5 * (x * (n1 + 2.0 * n2 * x) / nv - 1.0 - dlog)
+                return np.where(nv > 0.0, np.log(np.maximum(ratio, 0.0)), -np.inf), slope[i]
 
         margin = np.minimum(1e-3, 0.25 * (yr - yl))
-        return newton(fun, np.clip(y0, yl + margin, yr - margin), yl, yr, 1e-9), fun
+        return newton(fun, np.clip(y0, yl + margin, yr - margin), yl, yr, 1e-9), slope
 
     def anchor(self, lam: np.ndarray) -> None:
         """Solve every branch once at lam (one multiplier per problem), so that later
         solves start from the first-order prediction y + (ln lam' - ln lam) / slope."""
         lr = lam[self.elem // self.n]
         rows = np.flatnonzero((lr < self.m_lo) & (lr > self.m_hi))
-        y, fun = self._stationary(rows, lr[rows], np.log(self.c / lr[rows]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_ref = 1.0 / fun(y, np.arange(rows.size))[1]
+        y, slope = self._stationary(rows, lr[rows], np.log(self.c / lr[rows]))
+        with np.errstate(divide="ignore"):
+            e_ref = 1.0 / slope
         ok = np.isfinite(e_ref)
         r = rows[ok]
         self._ref[0][r] = y[ok] - e_ref[ok] * np.log(lr[r])
         self._ref[1][r], self._ref[2][r] = e_ref[ok], y[ok]
 
-    def powers(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def powers(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Best power of every element under lam (one multiplier per problem or per
-        element), and the row each element took. A power is a function of its
-        multiplier, so only the rows whose multiplier changed are solved again."""
+        element), the row each element took and the row's dP/dlam. A power is a
+        function of its multiplier, so only the rows whose multiplier changed are
+        solved again. On a branch dP/dlam = P / (lam s), with s = d ln m / d ln P
+        from the power solve's last Newton step; it is 0 at a branch end."""
         e = self.elem
         lr = np.broadcast_to(lam.reshape(lam.shape[0], -1), (lam.shape[0], self.n)).reshape(-1)[e]
         rows = np.flatnonzero(lr != self._memo[0])
         if rows.size:
             lm, m_lo = lr[rows], self.m_lo[rows]
             P = np.where(lm >= m_lo, self.xl[rows], self.xr[rows]) ** 2
+            dP = np.zeros(rows.size)
             inner = (lm < m_lo) & (lm > self.m_hi[rows])
             if inner.any():
                 i, li = rows[inner], lm[inner]
                 pred = self._ref[0][i] + self._ref[1][i] * np.log(li)
                 # the prediction where it moves the anchor solution by < 1
                 y0 = np.where(np.abs(pred - self._ref[2][i]) < 1.0, pred, np.log(self.c / li))
-                P[inner] = np.exp(self._stationary(i, li, y0)[0])
-            self._memo[0][rows], self._memo[1][rows] = lm, P
-        P = self._memo[1]
+                y, s = self._stationary(i, li, y0)
+                P[inner] = np.exp(y)
+                dP[inner] = _dpower(P[inner], li, s)
+            self._memo[0][rows], self._memo[1][rows], self._memo[2][rows] = lm, P, dP
+        P, dP = self._memo[1], self._memo[2]
         if self.simple:
-            return P.copy(), e
+            return P.copy(), e, dP.copy()
         # per element, the first row of largest c*ln(A/B) - lam*P (the rate up to a constant)
         fin = np.isfinite(P)
         x = np.sqrt(np.where(fin, P, 0.0))
@@ -431,7 +447,7 @@ class FixedRho:
         best = np.maximum.reduceat(score, self.start)[np.repeat(
             np.arange(self.start.size), np.diff(np.r_[self.start, e.size]))]
         pick = np.minimum.reduceat(np.where(score == best, np.arange(e.size), e.size), self.start)
-        return P[pick], pick
+        return P[pick], pick, dP[pick]
 
     def jumps(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The elements, shaped (problems, nodes), whose chosen row differs at lo and hi."""

@@ -74,6 +74,15 @@ def test_every_rayleigh_size_builds_full_rule():
         assert len(rule) == n
 
 
+def test_rayleigh_nodes_match_the_tridiagonal_eigensolver():
+    # numpy's dense symmetric eigensolver, which keeps scipy off the import
+    # path, gives the nodes of scipy's tridiagonal one
+    for n in range(1, MAX_NODES + 1):
+        alpha, beta = ergodic._stieltjes(*ergodic._rayleigh_grid(n), n)
+        ref = eigh_tridiagonal(alpha, beta, eigvals_only=True)
+        np.testing.assert_allclose(make_rule(Rayleigh(), n).nodes, ref, rtol=1e-15, atol=0)
+
+
 def test_rayleigh_rule_rejects_lost_nodes(monkeypatch):
     # a weight that underflows to 0 must fail the build, not shrink the rule
     real = ergodic._weights_from_recurrence

@@ -370,6 +370,23 @@ def test_min_power_does_not_load_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
+def test_solves_do_not_load_scipy():
+    # the Rayleigh nodes come from numpy's eigensolver and mc_estimate imports
+    # scipy.special itself, so the CLI and both solver modes load no scipy
+    code = ("import sys\n"
+            "import fadingcr.cli\n"
+            "from fadingcr.model import ChannelParams, Rayleigh\n"
+            "from fadingcr.optimize import maximize_rate\n"
+            "for mode in ('fixed-rho', 'adaptive-rho'):\n"
+            "    maximize_rate(ChannelParams(1.0, 1.0, 2.5), Rayleigh(), 0.3, 2.5, mode=mode,\n"
+            "                  nodes=16)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(optimize.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "[]"
+
+
 def test_into_disk_passes_the_policy_disk_test():
     r1, r2 = 0.8964758001178629, -0.4430926988825675
     assert r1 * r1 + r2 * r2 <= 1.0  # the solvers' test passes it ...
@@ -420,13 +437,13 @@ def _step_response(lam_star, calls):
     return respond
 
 
-#: A hint from which _dual_solve bisects on (0, 1) from the start.
+#: A hint from which _dual_solve, given no derivative, bisects (0, 1) from its midpoint.
 UNIT = (np.zeros(1), np.ones(1))
 
 
 def test_dual_solve_stops_at_its_bracket_floor():
-    # no multiplier spends the budget exactly here, so each bisection stops at
-    # its bracket floor
+    # no multiplier spends the budget exactly here, so each solve stops at its
+    # bracket floor
     lam_star, budget, w = np.array([0.37]), np.array([1.0]), np.array([1.0])
     for floor, most in ((1e-6, 24), (1e-9, 34)):
         calls = []
@@ -439,7 +456,7 @@ def test_dual_solve_stops_at_its_bracket_floor():
 
 def test_dual_solve_stops_when_its_multiplier_tends_to_zero():
     # lam* = 1e-300 lies far below the hint: the bracket is halved down to
-    # 1e-12 of its starting hi (41 steps), where the multiplier counts as 0
+    # 1e-12 of the hint's hi (40 steps), where the multiplier counts as 0
     lam_star, budget, w = np.array([1e-300]), np.array([1.0]), np.array([1.0])
     calls = []
     resp, lam, (lo, hi) = _dual_solve(_step_response(lam_star, calls), w, budget,
@@ -450,7 +467,7 @@ def test_dual_solve_stops_when_its_multiplier_tends_to_zero():
 
 
 def test_dual_solve_batch_equals_single_solves():
-    # the second problem needs the bracket doubled twice, the first does not
+    # the second problem needs its multiplier doubled three times, the first does not
     lam_star, budget, w = np.array([0.37, 2.9]), np.array([1.0, 1.0]), np.array([1.0])
     resp, lam, bracket = _dual_solve(_step_response(lam_star, []), w, budget,
                                      hint=(np.zeros(2), np.ones(2)), floor=1e-6)
@@ -463,11 +480,82 @@ def test_dual_solve_batch_equals_single_solves():
         assert (resp.value[b] == one[0].value[0]).all()
 
 
+def _water_filling(g, calls):
+    """Powers max(1/lam - 1/g, 0) of rates ln(1 + g P), with their dP/dlam."""
+    def respond(lam):
+        calls.append(lam.copy())
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / lam[:, None]
+        power = np.maximum(inv - 1.0 / g, 0.0)
+        dpower = np.where(power > 0.0, -inv * inv, 0.0)
+        return _Response(np.log1p(g * np.minimum(power, 1e300)), power, np.zeros_like(power),
+                         np.zeros_like(power), dpower)
+    return respond
+
+
+def _water_filling_hint(g, w, budget):
+    """_marginal_hint's bracket from the marginal rates at uniform power."""
+    return optimize._marginal_hint(g / (1.0 + g * budget[:, None]), w)
+
+
+def test_dual_solve_newton_stops_within_six_calls():
+    # water-filling on Rayleigh-16 power gains: from the marginal-rate hint the
+    # Newton steps on the multiplier stop within 6 respond calls, the zero
+    # multiplier included; the bisection took 22
+    rule = make_rule(Rayleigh(), 16)
+    g, w = np.array(rule.nodes) ** 2, np.array(rule.weights)
+    for B in (1.0, 2.5, 30.0):
+        budget, calls = np.array([B]), []
+        respond = _water_filling(g, calls)
+        resp, lam, (lo, hi) = _dual_solve(respond, w, budget, _water_filling_hint(g, w, budget),
+                                          floor=1e-6)
+        assert len(calls) <= 6
+        assert 0.0 < hi[0] - lo[0] <= 1e-6 * hi[0] and lam[0] == hi[0]
+        assert w @ resp.power[0] <= B < w @ respond(lo).power[0]
+
+
+@pytest.mark.parametrize("dpower", [-1e-6, -1.0, -1e6])
+def test_dual_solve_survives_a_misleading_derivative(dpower):
+    # the power jumps across the budget at lam*, and the response's derivative
+    # sends the Newton steps far past it (-1e-6) or barely moves them (-1e6);
+    # the fallbacks still bracket lam* within the floor, in at most twice the
+    # calls of a bisection without a derivative
+    lam_star, budget, w, calls = np.array([0.37]), np.array([1.0]), np.array([1.0]), []
+    step = _step_response(lam_star, calls)
+
+    def respond(lam):
+        r = step(lam)
+        r.dpower = np.full_like(r.power, dpower)
+        return r
+
+    resp, lam, (lo, hi) = _dual_solve(respond, w, budget, hint=UNIT, floor=1e-6)
+    assert lo[0] < lam_star[0] <= hi[0] == lam[0] and hi[0] - lo[0] <= 1e-6 * hi[0]
+    assert resp.power[0, 0] <= budget[0]
+    assert len(calls) <= 2 * 24
+
+
+def test_dual_solve_newton_batch_equals_single_solves():
+    rule = make_rule(Rayleigh(), 16)
+    g, w = np.array(rule.nodes) ** 2, np.array(rule.weights)
+    budget = np.array([0.1, 1.0, 2.5, 30.0])
+    hint = _water_filling_hint(g, w, budget)
+    resp, lam, bracket = _dual_solve(_water_filling(g, []), w, budget, hint, floor=1e-6)
+    for b in range(budget.size):
+        one = _dual_solve(_water_filling(g, []), w, budget[[b]],
+                          (hint[0][[b]], hint[1][[b]]), floor=1e-6)
+        assert lam[b] == one[1][0]
+        assert (bracket[0][b], bracket[1][b]) == (one[2][0][0], one[2][1][0])
+        assert (resp.power[b] == one[0].power[0]).all()
+        assert (resp.value[b] == one[0].value[0]).all()
+
+
 @pytest.mark.parametrize("mode", optimize.MODES)
 def test_bisection_is_scale_invariant(monkeypatch, mode):
-    # the bisection starts from the mean marginal rate at uniform power, which
-    # scales as 1/c: a start from (0, 1) took 25 respond calls at c = 1 and
-    # 65 at c = 1e12 in adaptive-rho mode
+    # the multiplier search starts from the mean marginal rate at uniform
+    # power, which scales as 1/c: Newton steps take 21 respond calls in
+    # fixed-rho mode and 6 in adaptive-rho mode at both scales (the bisection
+    # took 78 and 22), and a bisection from (0, 1) took 25 respond calls at
+    # c = 1 and 65 at c = 1e12 in adaptive-rho mode
     calls = []
 
     def counted(respond, *args, **kw):
@@ -721,8 +809,8 @@ def test_adaptive_warm_start_matches_a_cold_start():
             warm = responses.AdaptiveRho(g, d, CH, 2.0)
             lams = np.concatenate((np.geomspace(0.05, 5.0, 6), rng.uniform(0.02, 3.0, 6)))
             for lam in lams:
-                P, psi = warm.powers(float(lam))
-                P0, psi0 = responses.AdaptiveRho(g, d, CH, 2.0).powers(float(lam))
+                P, psi, _ = warm.powers(float(lam))
+                P0, psi0, _ = responses.AdaptiveRho(g, d, CH, 2.0).powers(float(lam))
                 np.testing.assert_allclose(P, P0, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(psi, psi0, rtol=0, atol=1e-13)
                 np.testing.assert_allclose(rates(g, d, P, psi), rates(g, d, P0, psi0),
@@ -735,13 +823,35 @@ def test_adaptive_warm_start_matches_a_cold_start():
                                        rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("d,psi", [(0.3, 0.2), (1.0, -0.4), (0.05, 1.2)])
+def test_response_derivatives_match_central_differences(d, psi):
+    # dP/dlam = P / (lam s) with s from each power solve's last Newton step;
+    # at d = Q and psi = -0.4 some nodes stay silent, with dP/dlam = 0
+    g = np.array(make_rule(Rayleigh(), 16).nodes)
+
+    def fixed(lam):
+        nodes = responses.FixedRho(g, np.full(g.size, d), np.full(g.size, psi), g.size, CH, 2.0)
+        P, _, dP = nodes.powers(np.array([lam]))
+        return P, dP
+
+    def adaptive(lam):
+        P, _, dP = responses.AdaptiveRho(g, d, CH, 2.0).powers(lam)
+        return P, dP
+
+    h = 1e-5
+    for powers in (fixed, adaptive):
+        for lam in (0.05, 0.3, 1.0):
+            central = (powers(lam * (1 + h))[0] - powers(lam * (1 - h))[0]) / (2 * h * lam)
+            np.testing.assert_allclose(powers(lam)[1], central, rtol=1e-8, atol=0)
+
+
 def test_adaptive_revisited_multiplier_reproduces_its_response():
     g = np.array(make_rule(Rayleigh(), 64).nodes)
     nodes = responses.AdaptiveRho(g, 0.3, CH, 2.0)
     first = [tuple(a.copy() for a in nodes.powers(lam)) for lam in (0.4, 0.2, 0.3)]
-    for lam, (P, psi) in zip((0.3, 0.4, 0.2, 0.3), [first[2], *first]):
+    for lam, want in zip((0.3, 0.4, 0.2, 0.3), [first[2], *first]):
         again = nodes.powers(lam)
-        assert np.array_equal(again[0], P) and np.array_equal(again[1], psi)
+        assert all(np.array_equal(a, b) for a, b in zip(again, want))
 
 
 def test_adaptive_solve_reuses_its_responses(monkeypatch):
