@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure, 2 bad input, 3 empty/infeasible
 result. Every file output is accompanied by a manifest JSON that pins the
-resolved configuration, mode, quadrature size and seed of the run.
+resolved configuration, mode, quadrature size and seed of the run (null
+where the command takes no mode or seed).
 """
 
 from __future__ import annotations
@@ -232,10 +233,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="rate unit: bits (2, default) or nats (e)")
     common.add_argument("--nodes", type=int, default=None,
                         help="quadrature node count (default 64)")
-    common.add_argument("--mode", choices=["fixed-rho", "adaptive-rho"],
-                        default="fixed-rho")
     common.add_argument("--out", help="output path")
-    common.add_argument("--seed", type=int, default=42)
+    # only region and power solve, so only they take a solver mode
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--mode", choices=["fixed-rho", "adaptive-rho"], default="fixed-rho")
 
     parser = argparse.ArgumentParser(
         prog="fadingcr",
@@ -253,14 +254,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--d", type=float, required=True)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_region = sub.add_parser("region", parents=[common],
+    p_region = sub.add_parser("region", parents=[common, solver],
                               help="emit the rate-distortion frontier as CSV")
     p_region.add_argument("--points", type=int, default=DEFAULT_GRID_POINTS)
     p_region.add_argument("--compare-static", action="store_true",
                           help="also emit the static-channel (g=1) frontier")
     p_region.set_defaults(func=cmd_region, out_required=True)
 
-    p_power = sub.add_parser("power", parents=[common],
+    p_power = sub.add_parser("power", parents=[common, solver],
                              help="emit minimum-power curves P(R, D) as CSV")
     p_power.add_argument("--rate", type=float, action="append", default=[],
                          help="target rate; repeat for a family of curves")
@@ -275,6 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--draws", type=int, default=10000)
     p_val.add_argument("--samples", type=int, default=1_000_000)
     p_val.add_argument("--mc-sets", type=int, default=20)
+    p_val.add_argument("--seed", type=int, default=42, help="Monte-Carlo seed")
     p_val.add_argument("--self-test-corrupt", metavar="IDENTITY",
                        help="test hook: set one identity's tolerance to -1, so that it fails")
     p_val.set_defaults(func=cmd_validate)

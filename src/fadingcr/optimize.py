@@ -10,11 +10,13 @@ dP/dlam. The iteration runs on a batch of independent problems at once (in
 fixed-rho mode every (d, psi) of a distortion grid), each with its own
 multiplier bracket and stop test. A primal-recovery step then meets each budget
 exactly: it mixes the responses at the two ends of the final multiplier
-bracket, and a node that jumps across its concave-hull segment there is
-also pinned at the segment's low-power end while the other nodes meet the
-budget again. The weak-duality bound at the final multiplier certifies
-each solve; a solve whose rate stays more than RECOVERY_GAP below it
-carries a "duality gap" warning.
+bracket. The weak-duality bound at the final multiplier certifies each
+solve. In fixed-rho mode a node's response can jump across its
+concave-hull segment; a problem whose rate stays more than RECOVERY_GAP
+below its bound is solved again once for each row (a branch or P = 0) of
+each jumping node, with that node held on that row and the others free,
+and the best of these wins. A solve still more than RECOVERY_GAP below its
+bound carries a "duality gap" warning.
 
 The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
@@ -48,7 +50,8 @@ BUDGET_TOL = 1e-9
 DEFAULT_GRID_POINTS = 50
 DEFAULT_GRID_FLOOR = 1e-3
 
-#: Power cap and floor of the min_power bracketing.
+#: Power cap of the min_power bracketing, and its floor in units of sigma_z2
+#: (rates are invariant under a joint scale of Q, d, sigma_z2 and P).
 POWER_CAP = float(2 ** 16)
 POWER_FLOOR = 1e-12
 
@@ -71,10 +74,10 @@ RECOVERY_FLOOR = 1e-6
 #: distortion grid.
 CHUNK_ROWS = 2 ** 11
 
-#: Certified duality gap, in rate units, above which the primal recovery
-#: also pins the nodes that jump across their concave-hull segments, and
-#: above which a solve warns. Measured gaps are either below 3e-13 or
-#: above 1e-7.
+#: Certified duality gap, in rate units, above which a fixed-rho problem is
+#: solved again with each node that jumps across its concave-hull segment
+#: held on each of its rows, and above which a solve warns. Measured gaps are
+#: either below 3e-13 or above 1e-7.
 RECOVERY_GAP = 1e-12
 
 #: Width in psi at which the fixed-rho search for dV/dpsi = 0 stops.
@@ -196,11 +199,6 @@ def _wsum(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ weights[:, None])[..., 0, 0]
 
 
-def _rows(r: _Response, idx) -> _Response:
-    """The response of the problems idx."""
-    return _Response(*(getattr(r, f.name)[idx] for f in dataclasses.fields(r)))
-
-
 def _take(new: _Response, old: _Response, rows: np.ndarray) -> _Response:
     """The rows of new where rows is True, of old elsewhere."""
     if rows.all():
@@ -276,67 +274,29 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
 
 
 def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, budget: np.ndarray,
-             resp: _Response, lo: np.ndarray, hi: np.ndarray,
-             jumps: Callable | None = None) -> tuple[_Response, np.ndarray]:
+             resp: _Response, lo: np.ndarray, hi: np.ndarray) -> tuple[_Response, np.ndarray]:
     """Primal recovery: meet each problem's budget exactly after _dual_solve.
 
     resp is the response at hi, within budget; the one at lo exceeds it. The
     mixture of the two powers that spends the budget moves the continuous
     nodes across the bracket's width, and gives a node that jumps across its
     concave-hull segment the power that closes the budget. rebuild maps
-    powers to a _Response; respond also takes one multiplier per node.
-    By weak duality (Yu & Lui, IEEE Trans. Commun. 2006) the Lagrangian at
-    hi, sum_i w_i (R_i - hi P_i) + hi B over resp, bounds every rate within
-    the budget B. When the mixture stays more than RECOVERY_GAP below it,
-    and jumps(lo, hi) marks the nodes whose responses jump, those nodes are
-    pinned at their response to hi while the others meet the budget by a
-    second _dual_solve; a problem keeps the better of the two. Returns the
-    responses and each problem's certified gap, the bound minus the rate.
+    powers to a _Response. By weak duality (Yu & Lui, IEEE Trans. Commun.
+    2006) the Lagrangian at hi, sum_i w_i (R_i - hi P_i) + hi B over resp,
+    bounds every rate within the budget B. Returns the responses and each
+    problem's certified gap, the bound minus the rate.
     """
     bound = _wsum(resp.value - hi[:, None] * resp.power, weights) + hi * budget
     spent = _wsum(resp.power, weights)
     rows = (lo > 0.0) & (spent < budget)
-    if not rows.any():
-        return resp, bound - _wsum(resp.value, weights)
-    over = respond(np.where(rows, lo, hi))
-    extra = _wsum(over.power, weights) - spent
-    t = np.where(rows & (extra > 0.0), (budget - spent) / np.where(extra > 0.0, extra, 1.0), 0.0)
-    cand = rebuild(resp.power + np.minimum(t, 1.0)[:, None] * (over.power - resp.power))
-    best = _take(cand, resp, rows & (_wsum(cand.value, weights) >= _wsum(resp.value, weights)))
-    gap = bound - _wsum(best.value, weights)
-    rows &= gap > RECOVERY_GAP
-    if jumps is None or not rows.any():
-        return best, gap
-    pin_nodes = jumps(np.where(rows, lo, hi), hi) & rows[:, None]
-    # the pinned nodes alone must leave budget for the others
-    left = budget - _wsum(np.where(pin_nodes, resp.power, 0.0), weights)
-    idx = np.flatnonzero(pin_nodes.any(axis=1) & (left > 0.0))
-    if not idx.size:
-        return best, gap
-
-    def pinned(mu):
-        lam = np.repeat(hi[:, None], weights.size, axis=1)
-        lam[idx] = np.where(pin_nodes[idx], hi[idx, None], mu[:, None])
-        r = _rows(respond(lam), idx)
-        # a pinned node's power does not move with mu
-        r.dpower = np.where(pin_nodes[idx], 0.0, r.dpower)
-        return r
-
-    def rebuild_rows(P):
-        full = best.power.copy()
-        full[idx] = P
-        return _rows(rebuild(full), idx)
-
-    r, _, (l2, h2) = _dual_solve(pinned, weights, budget[idx], (0.5 * lo[idx], lo[idx]),
-                                 RECOVERY_FLOOR)
-    r, _ = _recover(pinned, rebuild_rows, weights, budget[idx], r, l2, h2)
-    up = ((_wsum(r.value, weights) > _wsum(best.value[idx], weights))
-          & (_wsum(r.power, weights) <= budget[idx] * (1.0 + BUDGET_TOL)))
-    best = _Response(*(z.copy() for z in (best.value, best.power, best.rho1, best.rho2)))
-    for new, old in zip((r.value, r.power, r.rho1, r.rho2),
-                        (best.value, best.power, best.rho1, best.rho2)):
-        old[idx[up]] = new[up]
-    return best, bound - _wsum(best.value, weights)
+    if rows.any():
+        over = respond(np.where(rows, lo, hi))
+        extra = _wsum(over.power, weights) - spent
+        t = np.where(rows & (extra > 0.0), (budget - spent) / np.where(extra > 0.0, extra, 1.0),
+                     0.0)
+        cand = rebuild(resp.power + np.minimum(t, 1.0)[:, None] * (over.power - resp.power))
+        resp = _take(cand, resp, rows & (_wsum(cand.value, weights) >= _wsum(resp.value, weights)))
+    return resp, bound - _wsum(resp.value, weights)
 
 
 def _fixed_response(nodes: FixedRho, P: np.ndarray) -> _Response:
@@ -362,25 +322,30 @@ def _solve_fixed(g, w, ds, budget, ch, base):
 
     Per distortion: a 49-point rho2 scan, then an Illinois regula-falsi
     search for dV/dpsi = 0 between the scan's argmax and the neighbour
-    across which the slope changes sign (the scan's only other local
-    maximum is the arc's end psi = pi/2). dV/dpsi is the envelope
-    derivative sum_i w_i dR_i/dpsi at the recovered powers. Every stage is
-    one batched multiplier search (_dual_solve) plus primal recovery over its
+    across which the slope changes sign. dV/dpsi is the envelope derivative
+    sum_i w_i dR_i/dpsi at the recovered powers. Every stage is one batched
+    multiplier search (_dual_solve) plus primal recovery over its
     independent (d, psi) problems, CHUNK_ROWS (problem, node) rows at a
-    time. Returns the responses (one row per distortion), the multipliers
-    and the certified duality gaps.
+    time. A refinement problem whose certified gap exceeds RECOVERY_GAP is
+    solved again once for each row of each node whose chosen row differs at
+    the bracket's ends, with that node held on that row (FixedRho.hold) and
+    the others free; the best solve wins, and its gap is the first solve's
+    bound minus its rate. Returns the responses (one row per distortion),
+    the multipliers and the certified duality gaps.
     """
     psi_grid = np.arcsin(np.linspace(-1.0, 1.0, 49))
     k = psi_grid.size
     step = max(1, CHUNK_ROWS // g.size)
 
-    def chunk(d, psi, floor, hint, keep):
-        """One chunk of solve; its solver state is freed before the next is built."""
-        nodes = FixedRho(np.tile(g, d.size), np.repeat(d, g.size), np.repeat(psi, g.size),
-                         g.size, ch, base)
-        budgets = np.full(d.size, budget)
-        if hint is None:
-            hint = _marginal_hint(nodes.marginal(math.sqrt(budget)).reshape(-1, g.size), w)
+    def problems(d, psi):
+        """The best responses of problems (d, psi), one element per (problem, node)."""
+        return FixedRho(np.tile(g, d.size), np.repeat(d, g.size), np.repeat(psi, g.size),
+                        g.size, ch, base)
+
+    def recovered(nodes, hint, floor):
+        """_dual_solve and _recover over the problems of nodes: the responses,
+        multipliers, brackets and certified gaps."""
+        budgets = np.full(nodes.g.size // g.size, budget)
         nodes.anchor(np.where(hint[1] > 0.0, np.sqrt(hint[0] * hint[1]), 1.0))
 
         def respond(lam):
@@ -388,11 +353,38 @@ def _solve_fixed(g, w, ds, budget, ch, base):
             return dataclasses.replace(_fixed_response(nodes, P), dpower=dP.reshape(-1, g.size))
 
         resp, lam, (lo, hi) = _dual_solve(respond, w, budgets, hint, floor)
-        # the scan only ranks, so its gaps get no pinned re-solves
-        resp, gap = _recover(respond, lambda P: _fixed_response(nodes, P), w, budgets, resp,
-                             lo, hi, nodes.jumps if keep else None)
-        return (_wsum(resp.value, w), _wsum(nodes.slope(resp.power), w), lo * 0.997,
-                hi * 1.003, lam, gap) + ((resp,) if keep else ())
+        return (*_recover(respond, lambda P: _fixed_response(nodes, P), w, budgets, resp, lo, hi),
+                lam, lo, hi)
+
+    def chunk(d, psi, floor, hint, keep):
+        """One chunk of solve; its solver state is freed before the next is built."""
+        nodes = problems(d, psi)
+        if hint is None:
+            hint = _marginal_hint(nodes.marginal(math.sqrt(budget)).reshape(-1, g.size), w)
+        resp, gap, lam, lo, hi = recovered(nodes, hint, floor)
+        rate = _wsum(resp.value, w)
+        # the scan only ranks, so its gaps get no held re-solves
+        redo = keep & (lo > 0.0) & (gap > RECOVERY_GAP)
+        if redo.any():
+            # every row of each node whose chosen row differs at lo and hi, save
+            # those whose lowest power alone spends the budget
+            jump = nodes.powers(np.where(redo, lo, hi))[1] != nodes.powers(hi)[1]
+            row = np.flatnonzero(jump[nodes.elem])
+            row = row[w[nodes.elem[row] % g.size] * nodes.xl[row] ** 2 < budget]
+            e, bound = nodes.elem[row], gap + rate
+            for c in (slice(s, s + step) for s in range(0, row.size, step)):
+                p = e[c] // g.size
+                held = problems(d[p], psi[p])
+                held.hold(np.arange(p.size) * g.size + e[c] % g.size, row[c] - nodes.start[e[c]])
+                r = recovered(held, (lo[p], hi[p]), floor)[0]
+                v = np.where(_wsum(r.power, w) <= budget * (1.0 + BUDGET_TOL), _wsum(r.value, w),
+                             -np.inf)
+                for i, q in enumerate(p):
+                    if v[i] > rate[q]:
+                        rate[q], gap[q] = v[i], bound[q] - v[i]
+                        resp.value[q], resp.power[q] = r.value[i], r.power[i]
+        return (rate, _wsum(nodes.slope(resp.power), w), lo * 0.997, hi * 1.003, lam,
+                gap) + ((resp,) if keep else ())
 
     def solve(d, psi, floor, hint=None, keep=False):
         """Recovered solves of problems (d, psi): rates, slopes dV/dpsi, widened
@@ -477,6 +469,8 @@ def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
             raise ConfigError(f"d={d} outside [{ch.d_min:g}, {ch.Q}]")
     if P_budget < 0:
         raise ConfigError("P_budget must be nonnegative")
+    # an integer budget would give the solver integer arrays
+    P_budget = float(P_budget)
     if not ds:
         return []
 
@@ -608,9 +602,10 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     smallest that reaches it. Each next budget is the Newton step from the
     last solve, whose multiplier lam is the slope dR*/dB. A step outside the
     open bracket, or lam = 0, falls back to x4 from lo while hi is unknown
-    (capped at p_cap), /4 from hi while lo = 0 (floored at POWER_FLOOR), and
-    the midpoint otherwise. Returns hi once hi - lo <= POWER_RTOL * hi or
-    hi <= POWER_FLOOR, so maximize_rate at the answer reaches the target.
+    (capped at p_cap), /4 from hi while lo = 0 (floored at POWER_FLOOR *
+    sigma_z2), and the midpoint otherwise. Returns hi once hi - lo <=
+    POWER_RTOL * hi or hi <= POWER_FLOOR * sigma_z2, so maximize_rate at the
+    answer reaches the target.
     Each budget is solved at most once, and none above p_cap; raises
     UnreachableError when p_cap misses.
     """
@@ -624,8 +619,8 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
 
     if solve(0.0).rate >= R_target:
         return 0.0
-    warm = max(warm_lo or 0.0, 0.0)
-    lo, hi, p = 0.0, math.inf, warm or min(ch.sigma_z2, p_cap)
+    warm, floor = max(warm_lo or 0.0, 0.0), POWER_FLOOR * ch.sigma_z2
+    lo, hi, p = 0.0, math.inf, float(warm or min(ch.sigma_z2, p_cap))
     while True:
         sol = solve(p)
         excess = sol.rate - R_target
@@ -638,7 +633,7 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
                 f"rate {R_target} at distortion {D_target} unreachable below budget {p_cap:g}")
         else:
             lo = p
-        if hi * (1.0 - POWER_RTOL) <= lo or hi <= POWER_FLOOR:
+        if hi * (1.0 - POWER_RTOL) <= lo or hi <= floor:
             return hi
         # Newton on a concave R* lands below the root from either side, so a
         # step moves at least POWER_RTOL / 2 relative toward the root and one
@@ -651,7 +646,7 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
         elif hi == math.inf:
             p = min(4.0 * lo, p_cap)
         elif lo == 0.0:
-            p = max(hi / 4.0, POWER_FLOOR)
+            p = max(hi / 4.0, floor)
         else:
             p = 0.5 * (lo + hi)
 

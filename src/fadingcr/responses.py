@@ -281,7 +281,7 @@ class FixedRho:
     Other elements, such as those whose m falls, rises and falls again, get
     their branches from np.roots. An element with more than one candidate
     (the branches' stationary points and P = 0) keeps the one of largest
-    rate - lam*P.
+    rate - lam*P, or the one of the row it is held on.
     """
 
     def __init__(self, g, d, psi, n: int, ch: ChannelParams, base: float):
@@ -369,6 +369,8 @@ class FixedRho:
         self._memo = (np.full(e.size, np.nan), np.zeros(e.size), np.zeros(e.size))
         # each row's Newton start: intercept and slope in ln lam, anchor solution
         self._ref = (np.full(e.size, np.nan), np.zeros(e.size), np.full(e.size, np.nan))
+        # the rows powers may pick; hold takes an element's other rows out
+        self.pickable = np.ones(e.size, dtype=bool)
 
     def marginal(self, x, e=None) -> np.ndarray:
         """c*N / (2 x A B), the marginal rate dR/dP at x = sqrt(P), of elements e (all)."""
@@ -399,6 +401,11 @@ class FixedRho:
         margin = np.minimum(1e-3, 0.25 * (yr - yl))
         return newton(fun, np.clip(y0, yl + margin, yr - margin), yl, yr, 1e-9), slope
 
+    def hold(self, elem: np.ndarray, k: np.ndarray) -> None:
+        """Hold each element elem on its k-th row: powers picks none of its other rows."""
+        self.pickable[np.isin(self.elem, elem)] = False
+        self.pickable[self.start[elem] + k] = True
+
     def anchor(self, lam: np.ndarray) -> None:
         """Solve every branch once at lam (one multiplier per problem), so that later
         solves start from the first-order prediction y + (ln lam' - ln lam) / slope."""
@@ -413,13 +420,13 @@ class FixedRho:
         self._ref[1][r], self._ref[2][r] = e_ref[ok], y[ok]
 
     def powers(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Best power of every element under lam (one multiplier per problem or per
-        element), the row each element took and the row's dP/dlam. A power is a
-        function of its multiplier, so only the rows whose multiplier changed are
-        solved again. On a branch dP/dlam = P / (lam s), with s = d ln m / d ln P
-        from the power solve's last Newton step; it is 0 at a branch end."""
+        """Best power of every element under lam (one multiplier per problem), the
+        row each element took and the row's dP/dlam. A power is a function of its
+        multiplier, so only the rows whose multiplier changed are solved again. On
+        a branch dP/dlam = P / (lam s), with s = d ln m / d ln P from the power
+        solve's last Newton step; it is 0 at a branch end."""
         e = self.elem
-        lr = np.broadcast_to(lam.reshape(lam.shape[0], -1), (lam.shape[0], self.n)).reshape(-1)[e]
+        lr = lam[e // self.n]
         rows = np.flatnonzero(lr != self._memo[0])
         if rows.size:
             lm, m_lo = lr[rows], self.m_lo[rows]
@@ -444,14 +451,11 @@ class FixedRho:
         _, _, _, a0, a1, a2, b0, b1, b2 = self.coef[:, e]
         score = np.where(fin, self.c * np.log((a0 + x * (a1 + x * a2)) / (b0 + x * (b1 + x * b2)))
                          - lr * np.where(fin, P, 0.0), np.inf)
+        score[~self.pickable] = -np.inf
         best = np.maximum.reduceat(score, self.start)[np.repeat(
             np.arange(self.start.size), np.diff(np.r_[self.start, e.size]))]
         pick = np.minimum.reduceat(np.where(score == best, np.arange(e.size), e.size), self.start)
         return P[pick], pick, dP[pick]
-
-    def jumps(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The elements, shaped (problems, nodes), whose chosen row differs at lo and hi."""
-        return (self.powers(lo)[1] != self.powers(hi)[1]).reshape(-1, self.n)
 
     def slope(self, P: np.ndarray) -> np.ndarray:
         """dR/dpsi of every element at powers P, shaped like P."""

@@ -122,6 +122,18 @@ def test_region_requires_out(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "--seed", "1"], ["validate", "--mode", "fixed-rho"],
+    ["eval", "--mode", "adaptive-rho", "--g", "1", "--p", "1", "--rho1", "0", "--rho2", "0",
+     "--d", "0.5"]])
+def test_flags_of_other_commands_are_rejected(tmp_path, argv, capsys):
+    # --mode belongs to region and power, --seed to validate
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_power_long_format(tmp_path):
     cfg = dict(REFERENCE_CONFIG, fading={"type": "degenerate", "g": 1.0})
     path = tmp_path / "cfg.json"

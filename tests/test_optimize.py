@@ -290,7 +290,8 @@ def test_min_power_cold_solves_each_budget_once(solves):
 def test_min_power_scale_invariant(solves):
     base = min_power(CH, Degenerate(1.0), 0.2, 0.8, nodes=1)
     n_base = len(solves)
-    for c in (4.0, 1e-8):
+    # at c = 1e-14 an absolute power floor of 1e-12 returned sigma_z2
+    for c in (4.0, 1e-8, 1e-14):
         solves.clear()
         scaled = min_power(ChannelParams(c * CH.Q, c * CH.sigma_z2, c * CH.P_avg),
                            Degenerate(1.0), 0.2, c * 0.8, nodes=1)
@@ -603,9 +604,10 @@ def _arc_brute_max(law, d, budget, n_psi=201, n_split=1001):
 
 
 def test_fixed_rho_beats_brute_force_on_small_discrete_laws():
-    # one psi basin is refined and one end of a jumping node's hull segment is
-    # pinned; neither may lose rate against a search over (psi, power split).
-    # The 3-node law needs the pin: mixing alone returned 0.4933979 bits
+    # one psi basin is refined, and a solve with a gap is solved again with
+    # each jumping node held on each row of its response; neither may lose
+    # rate against a search over (psi, power split). The 3-node law needs the
+    # holds: mixing alone returned 0.4933979 bits
     rng = np.random.default_rng(7)
     cases = [(Discrete(points=(0.3, 1.0, 2.2), probs=(0.2, 0.5, 0.3)), CH.Q, 0.6)]
     for _ in range(10):
@@ -865,7 +867,57 @@ def test_adaptive_solve_reuses_its_responses(monkeypatch):
     assert len(calls) <= 742 // 2
 
 
-@pytest.mark.xfail(strict=True, reason="the 64-node rule leaves a certified gap of 5.3e-5 bits "
+@pytest.mark.xfail(strict=True, reason="the 64-node rule leaves a certified gap of 3.2e-5 bits "
                    "here; 32 and 128 nodes leave none")
 def test_fixed_rho_full_distortion_small_budget_has_no_gap():
     assert maximize_rate(CH, Rayleigh(), CH.Q, 0.25, nodes=64).warnings == ()
+
+
+def test_fixed_rho_jumping_node_reaches_the_one_free_node_optimum():
+    # node 16 jumps across its hull segment at the optimal multiplier. Mixing
+    # alone, or pinning it at the segment's low end, gave 0.1782545 bits and a
+    # gap of 5.28e-5; the best one-free-node allocation (every other node at
+    # its response to a common multiplier, node 16 closing the budget) is
+    # 0.1782756 by a brute scan of that multiplier, which a hold on the
+    # segment's high-power branch reaches
+    sol = maximize_rate(CH, Rayleigh(), CH.Q, 0.25, nodes=64)
+    assert sol.rate >= 0.1782755
+    assert sol.power <= 0.25 * (1.0 + optimize.BUDGET_TOL)
+    gap = float(sol.warnings[0].split()[3])
+    assert gap <= 3.3e-5
+
+
+def test_fixed_rho_hold_keeps_an_element_on_its_row():
+    # element 0's marginal rate falls, rises and falls again, so it has a
+    # P = 0 row and two branches; held on one, it takes that row under every
+    # multiplier, and element 1 picks as it does without the hold
+    g, d, psi = np.array([0.801, 1.3]), np.array([0.9949, 0.5]), np.array([-0.810, 0.3])
+    free = responses.FixedRho(g, d, psi, 1, CH, 2.0)
+    rows = np.flatnonzero(free.elem == 0)
+    assert rows.size == 3
+    for k in range(rows.size):
+        held = responses.FixedRho(g, d, psi, 1, CH, 2.0)
+        held.hold(np.array([0]), np.array([k]))
+        for lam in np.geomspace(1e-3, 10.0, 9):
+            P, pick, _ = held.powers(np.full(2, lam))
+            P0, pick0, _ = free.powers(np.full(2, lam))
+            assert pick[0] == rows[k]
+            assert (pick[1], P[1]) == (pick0[1], P0[1])
+
+
+def test_integer_inputs_take_the_float_path(monkeypatch):
+    # an integer budget or ChannelParams gave the multiplier search integer
+    # arrays: 121 respond calls against 33 here, 251 against 151 in min_power
+    calls = []
+    orig = optimize._dual_solve
+    monkeypatch.setattr(optimize, "_dual_solve", lambda respond, *a, **kw: orig(
+        lambda lam: calls.append(1) or respond(lam), *a, **kw))
+
+    def counted(fn, *args):
+        calls.clear()
+        return fn(*args, nodes=16), len(calls)
+
+    assert counted(maximize_rate, CH, Rayleigh(), 0.3, 2) == \
+        counted(maximize_rate, CH, Rayleigh(), 0.3, 2.0)
+    assert counted(min_power, ChannelParams(1, 1, 2.5), Rayleigh(), 0.3, 0.73) == \
+        counted(min_power, ChannelParams(1.0, 1.0, 2.5), Rayleigh(), 0.3, 0.73)
