@@ -206,6 +206,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.samples < 1000:
         print("error: --samples must be at least 1000", file=sys.stderr)
         return EXIT_BAD_INPUT
+    for flag, value in (("--draws", args.draws), ("--mc-sets", args.mc_sets)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return EXIT_BAD_INPUT
     report = run_validation(cfg, draws=args.draws, samples=args.samples,
                             mc_sets=args.mc_sets, seed=args.seed,
                             corrupt=args.self_test_corrupt)

@@ -1,10 +1,18 @@
-"""Independent Gaussian verification path.
+"""Independent Gaussian verification path, stacked over draws.
 
 Builds the joint law of (U, T, S, X, Y) from the coding construction and
 re-derives every closed form in rate_core through covariance algebra
 (Schur complements, log-determinant mutual informations) and seeded
 Monte-Carlo sampling. Note E[X^2] = P exactly: X carries an independent
 residual on top of its U and T components, so the disk interior is covered.
+
+Every oracle works on a stack of draws: build_covariance takes arrays of g
+and P with one CodingParams per draw and fills an (N, 5, 5) array, and
+mutual_information and schur_conditional_variance take any matrix[..., n, n]
+and make one stacked LAPACK call per group of rows that drop the same
+degenerate coordinates. A single draw is a stack of one and returns floats.
+Every check (parameter validity, PSD assembly, negative mutual information,
+the pseudo-inverse fallback) is applied per row.
 
 At d = Q the auxiliary U is degenerate and the oracle rate is 0 regardless
 of rho1; the closed form and the oracle agree there only for rho1 = 0.
@@ -36,12 +44,12 @@ PRNG_ALGORITHM = "pcg64-ndtri"
 
 @dataclass(frozen=True)
 class JointCovariance:
-    """Symmetric covariance over (U, T, S, X, Y) plus its generating parameters."""
+    """Symmetric covariance over (U, T, S, X, Y), or an (N, 5, 5) stack, plus its parameters."""
 
     matrix: np.ndarray
-    g: float
-    P: float
-    cp: CodingParams
+    g: float | np.ndarray
+    P: float | np.ndarray
+    cp: CodingParams | Sequence[CodingParams]
     ch: ChannelParams
 
 
@@ -55,34 +63,51 @@ def _coefficients(P: float, cp: CodingParams, ch: ChannelParams) -> tuple[float,
     return c_u, c_t, vw
 
 
-def build_covariance(g: float, P: float, cp: CodingParams, ch: ChannelParams) -> JointCovariance:
-    """Assemble the joint Gaussian law of (U, T, S, X, Y) for the coding construction."""
-    if g < 0 or P < 0:
+def build_covariance(g: float | np.ndarray, P: float | np.ndarray,
+                     cp: CodingParams | Sequence[CodingParams],
+                     ch: ChannelParams) -> JointCovariance:
+    """Assemble the joint Gaussian law of (U, T, S, X, Y) for the coding construction.
+
+    One draw (scalar g and P, one CodingParams) gives a (5, 5) matrix; N draws
+    (length-N g and P, a sequence of N CodingParams) give an (N, 5, 5) stack.
+    """
+    single = isinstance(cp, CodingParams)
+    cps = (cp,) if single else tuple(cp)
+    gs = np.asarray(g, dtype=float).reshape(-1)
+    Ps = np.asarray(P, dtype=float).reshape(-1)
+    if not len(gs) == len(Ps) == len(cps):
+        raise ValueError(f"draw stack lengths differ: g {len(gs)}, P {len(Ps)}, cp {len(cps)}")
+    if np.any(gs < 0) or np.any(Ps < 0):
         raise NumericalError("g and P must be nonnegative")
-    cp.validate(ch)
-    vu = _clamp0(ch.Q - cp.d)
-    vt = cp.d
-    cov_ux = cp.rho1 * math.sqrt(P * vu)
-    cov_tx = cp.rho2 * math.sqrt(P * vt)
+    for c in cps:
+        c.validate(ch)
+    rho1 = np.array([c.rho1 for c in cps], dtype=float)
+    rho2 = np.array([c.rho2 for c in cps], dtype=float)
+    vt = np.array([c.d for c in cps], dtype=float)
+    vu = np.array([_clamp0(ch.Q - c.d) for c in cps], dtype=float)
+    cov_ux = rho1 * np.sqrt(Ps * vu)
+    cov_tx = rho2 * np.sqrt(Ps * vt)
 
-    m = np.zeros((5, 5))
-    m[0, 0] = vu
-    m[1, 1] = vt
-    m[2, 2] = ch.Q
-    m[3, 3] = P
-    m[0, 2] = m[2, 0] = vu
-    m[1, 2] = m[2, 1] = vt
-    m[0, 3] = m[3, 0] = cov_ux
-    m[1, 3] = m[3, 1] = cov_tx
-    m[2, 3] = m[3, 2] = cov_ux + cov_tx
+    m = np.zeros((len(cps), 5, 5))
+    m[:, 0, 0] = vu
+    m[:, 1, 1] = vt
+    m[:, 2, 2] = ch.Q
+    m[:, 3, 3] = Ps
+    m[:, 0, 2] = m[:, 2, 0] = vu
+    m[:, 1, 2] = m[:, 2, 1] = vt
+    m[:, 0, 3] = m[:, 3, 0] = cov_ux
+    m[:, 1, 3] = m[:, 3, 1] = cov_tx
+    m[:, 2, 3] = m[:, 3, 2] = cov_ux + cov_tx
     for i in range(4):
-        m[i, 4] = m[4, i] = g * m[i, 3] + m[i, 2]
-    m[4, 4] = g * g * P + 2.0 * g * m[2, 3] + ch.Q + ch.sigma_z2
+        m[:, i, 4] = m[:, 4, i] = gs * m[:, i, 3] + m[:, i, 2]
+    m[:, 4, 4] = gs * gs * Ps + 2.0 * gs * m[:, 2, 3] + ch.Q + ch.sigma_z2
 
-    eigs = np.linalg.eigvalsh(m)
-    if eigs.min() < -PSD_EIG_TOL * m.trace():
-        raise NumericalError(f"assembled covariance is not PSD (min eig {eigs.min():.3e}); internal bug")
-    return JointCovariance(matrix=m, g=g, P=P, cp=cp, ch=ch)
+    low = np.linalg.eigvalsh(m).min(axis=-1)
+    bad = low < -PSD_EIG_TOL * np.trace(m, axis1=-2, axis2=-1)
+    if np.any(bad):
+        raise NumericalError(f"assembled covariance is not PSD (min eig {low[bad].min():.3e} "
+                             f"in {np.count_nonzero(bad)} of {len(m)} draws); internal bug")
+    return JointCovariance(matrix=m[0] if single else m, g=g, P=P, cp=cp, ch=ch)
 
 
 #: Variable order of the converse-side assembly.
@@ -108,75 +133,116 @@ def converse_joint_covariance(g: float, K: ConverseCovariance, ch: ChannelParams
     return m
 
 
-def _submatrix(matrix: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    return matrix[np.ix_(rows, cols)]
-
-
-def _resolve(names: Iterable[str] | str, variables: Sequence[str] = VARIABLES) -> list[int]:
+def _resolve(names: Iterable[str] | str, variables: Sequence[str] = VARIABLES) -> np.ndarray:
     if isinstance(names, str):
         names = (names,)
-    return [variables.index(n) for n in names]
+    return np.array([variables.index(n) for n in names], dtype=np.intp)
+
+
+def _stack(cov: JointCovariance | np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The matrices as an (N, n, n) stack, and the leading shape of the input."""
+    matrix = np.asarray(cov.matrix if isinstance(cov, JointCovariance) else cov)
+    return matrix.reshape(-1, *matrix.shape[-2:]), matrix.shape[:-2]
+
+
+def _unstack(values: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
+    """Per-row results in the input's leading shape; a float for a single matrix."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _mask_groups(stack: np.ndarray, idx: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(keep mask over idx, rows) for each set of rows that keep the same coordinates of idx.
+
+    A coordinate is kept in a row when its variance exceeds DEGENERATE_FACTOR
+    times the row's trace (at least 1).
+    """
+    scale = np.maximum(np.trace(stack, axis1=-2, axis2=-1), 1.0)
+    keep = stack[:, idx, idx] > DEGENERATE_FACTOR * scale[:, None]
+    code = keep @ (1 << np.arange(len(idx)))
+    return [(keep[rows[0]], rows)
+            for rows in (np.flatnonzero(code == c) for c in np.unique(code))]
 
 
 def schur_conditional_variance(cov: JointCovariance | np.ndarray,
                                target: str, given: Iterable[str] | str,
-                               variables: Sequence[str] = VARIABLES) -> float:
+                               variables: Sequence[str] = VARIABLES) -> float | np.ndarray:
     """Var(target | given) from the joint covariance via the Schur complement.
 
-    Degenerate given-set coordinates are dropped; a rank-deficient given-set
-    falls back to the pseudo-inverse (logged, not fatal).
+    Takes one matrix or a stack matrix[..., n, n] and returns a float or an
+    array of the leading shape. Degenerate given-set coordinates are dropped
+    per row. A row whose given-set covariance is near singular (condition
+    number above 1e13 or not finite) or whose solution is not finite falls
+    back to the pseudo-inverse, with one log record per row (logged, not
+    fatal). A LinAlgError from a group's stacked solve names no row, so every
+    row of that group falls back.
     """
-    matrix = cov.matrix if isinstance(cov, JointCovariance) else cov
+    stack, shape = _stack(cov)
     ti = _resolve(target, variables)[0]
-    gi = _resolve(given, variables)
-    scale = max(matrix.trace(), 1.0)
-    gi = [i for i in gi if matrix[i, i] > DEGENERATE_FACTOR * scale]
-    vt = float(matrix[ti, ti])
-    if not gi:
-        return vt
-    sigma = _submatrix(matrix, gi, gi)
-    c = matrix[ti, gi]
-    try:
-        sol = np.linalg.solve(sigma, c)
-    except np.linalg.LinAlgError:
-        log.info("given-set covariance is rank deficient; using pseudo-inverse")
-        sol = np.linalg.pinv(sigma, rcond=1e-12) @ c
-    else:
+    given_idx = _resolve(given, variables)
+    out = stack[:, ti, ti].copy()
+    for mask, rows in _mask_groups(stack, given_idx):
+        gi = given_idx[mask]
+        if not len(gi):
+            continue
+        sub = stack[rows]
+        sigma = sub[:, gi[:, None], gi]
+        c = sub[:, ti, gi]
         # near-singular solves are unreliable; prefer the tolerant pseudo-inverse
-        if not np.all(np.isfinite(sol)) or np.linalg.cond(sigma) > 1e13:
-            log.info("given-set covariance is near singular; using pseudo-inverse")
-            sol = np.linalg.pinv(sigma, rcond=1e-12) @ c
-    return vt - float(c @ sol)
+        ok = np.linalg.cond(sigma) <= 1e13
+        sol = np.full_like(c, np.nan)
+        try:
+            sol[ok] = np.linalg.solve(sigma[ok], c[ok][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            pass  # the error names no row, so every row of the group stays nan
+        fallback = ~np.all(np.isfinite(sol), axis=-1)
+        if np.any(fallback):
+            for r in rows[fallback]:
+                log.info("given-set covariance of row %d is rank deficient; using pseudo-inverse",
+                         int(r))
+            sol[fallback] = (np.linalg.pinv(sigma[fallback], rcond=1e-12)
+                             @ c[fallback][:, :, None])[:, :, 0]
+        out[rows] -= (c[:, None, :] @ sol[:, :, None])[:, 0, 0]
+    return _unstack(out, shape)
 
 
 def mutual_information(cov: JointCovariance | np.ndarray,
                        set_a: Iterable[str] | str, set_b: Iterable[str] | str,
                        base: float = 2.0,
-                       variables: Sequence[str] = VARIABLES) -> float:
-    """I(A;B) = 0.5 log [det(Sigma_A) det(Sigma_B) / det(Sigma_AB)], degenerate coordinates dropped."""
-    matrix = cov.matrix if isinstance(cov, JointCovariance) else cov
+                       variables: Sequence[str] = VARIABLES) -> float | np.ndarray:
+    """I(A;B) = 0.5 log [det(Sigma_A) det(Sigma_B) / det(Sigma_AB)], degenerate coordinates dropped.
+
+    Takes one matrix or a stack matrix[..., n, n] and returns a float or an
+    array of the leading shape; a row whose A or B is wholly degenerate has
+    I(A;B) = 0.
+    """
+    stack, shape = _stack(cov)
     ia = _resolve(set_a, variables)
     ib = _resolve(set_b, variables)
-    scale = max(matrix.trace(), 1.0)
-    ia = [i for i in ia if matrix[i, i] > DEGENERATE_FACTOR * scale]
-    ib = [i for i in ib if matrix[i, i] > DEGENERATE_FACTOR * scale]
-    if not ia or not ib:
-        return 0.0
-    if set(ia) & set(ib):
-        raise ValueError("mutual information sets must be disjoint")
-    _, ld_a = np.linalg.slogdet(_submatrix(matrix, ia, ia))
-    _, ld_b = np.linalg.slogdet(_submatrix(matrix, ib, ib))
-    iab = ia + ib
-    _, ld_ab = np.linalg.slogdet(_submatrix(matrix, iab, iab))
-    mi = 0.5 * (ld_a + ld_b - ld_ab) / math.log(base)
-    if mi < -1e-10:
-        raise NumericalError(f"mutual information {mi:.3e} is negative beyond tolerance")
-    return mi
+    mi = np.zeros(len(stack))
+    for mask, rows in _mask_groups(stack, np.concatenate((ia, ib))):
+        a, b = ia[mask[:len(ia)]], ib[mask[len(ia):]]
+        if not len(a) or not len(b):
+            continue
+        if np.intersect1d(a, b).size:
+            raise ValueError("mutual information sets must be disjoint")
+        sub = stack[rows]
+        ab = np.concatenate((a, b))
+        _, ld_a = np.linalg.slogdet(sub[:, a[:, None], a])
+        _, ld_b = np.linalg.slogdet(sub[:, b[:, None], b])
+        _, ld_ab = np.linalg.slogdet(sub[:, ab[:, None], ab])
+        mi[rows] = 0.5 * (ld_a + ld_b - ld_ab) / math.log(base)
+    if np.any(mi < -1e-10):
+        raise NumericalError(f"mutual information {mi.min():.3e} is negative beyond tolerance")
+    return _unstack(mi, shape)
 
 
-def gp_rate_oracle(g: float, P: float, cp: CodingParams, ch: ChannelParams,
-                   base: float = 2.0) -> float:
-    """I(U;Y) - I(U;S) on the assembled covariance; the rate oracle."""
+def gp_rate_oracle(g: float | np.ndarray, P: float | np.ndarray,
+                   cp: CodingParams | Sequence[CodingParams], ch: ChannelParams,
+                   base: float = 2.0) -> float | np.ndarray:
+    """I(U;Y) - I(U;S) on the assembled covariance; the rate oracle.
+
+    Stacked as build_covariance is: a float for one draw, an array for N.
+    """
     cov = build_covariance(g, P, cp, ch)
     return mutual_information(cov, "U", "Y", base) - mutual_information(cov, "U", "S", base)
 
@@ -216,16 +282,22 @@ def mc_estimate(g: float, P: float, cp: CodingParams, ch: ChannelParams,
     vu = _clamp0(ch.Q - cp.d)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    z = ndtri(_open_uniform(rng, (4, n)))
-    u = math.sqrt(vu) * z[0]
-    t = math.sqrt(cp.d) * z[1]
-    w = math.sqrt(vw) * z[2]
-    noise = math.sqrt(ch.sigma_z2) * z[3]
-    s = u + t
-    x = c_u * u + c_t * t + w
-    y = g * x + s + noise
-
-    samples = np.vstack((u, t, s, x, y))
+    z = _open_uniform(rng, (4, n))
+    ndtri(z, out=z)
+    # rows (u, t, s, x, y) built in place, each sum left to right as
+    # x = c_u u + c_t t + w and y = g x + s + noise
+    samples = np.empty((5, n))
+    u, t, s, x, y = samples
+    np.multiply(math.sqrt(vu), z[0], out=u)
+    np.multiply(math.sqrt(cp.d), z[1], out=t)
+    np.add(u, t, out=s)
+    np.multiply(c_u, u, out=x)
+    x += np.multiply(c_t, t, out=z[1])
+    x += np.multiply(math.sqrt(vw), z[2], out=z[2])
+    np.multiply(g, x, out=y)
+    y += s
+    y += np.multiply(math.sqrt(ch.sigma_z2), z[3], out=z[3])
+    del z
     cov = np.cov(samples)
 
     var_u, var_s, cov_us = cov[0, 0], cov[2, 2], cov[0, 2]

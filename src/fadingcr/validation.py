@@ -78,6 +78,10 @@ def run_validation(cfg: Config, draws: int = 10000, samples: int = 1_000_000,
     cfg.validate()
     if samples < 1000:
         raise ValueError("samples must be at least 1000")
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
+    if mc_sets < 1:
+        raise ValueError("mc_sets must be at least 1")
     if corrupt is not None and corrupt not in TOLERANCES:
         raise ValueError(f"unknown identity {corrupt!r}; expected one of {', '.join(TOLERANCES)}")
     ch = cfg.channel
@@ -90,41 +94,42 @@ def run_validation(cfg: Config, draws: int = 10000, samples: int = 1_000_000,
         tol = -1.0 if corrupt == name else TOLERANCES[name]
         checks.append(IdentityCheck(name, float(observed), tol, bool(observed <= tol)))
 
-    # (i) closed-form rate vs the log-det oracle; (ii) converse functional identity
-    err_rate, err_conv = 0.0, 0.0
-    for _ in range(draws):
-        g, P, cp = draw_params(rng, ch)
-        r_closed = rc.rate_per_state(g, P, cp, ch, base)
-        err_rate = max(err_rate, abs(r_closed - go.gp_rate_oracle(g, P, cp, ch, base)))
-        K = rc.ConverseCovariance.from_rhos(P, ch.Q - cp.d, cp.d, cp.rho1, cp.rho2)
-        r_conv = rc.converse_rate(g, K, ch, base)
-        err_conv = max(err_conv, abs(r_conv - r_closed) / max(abs(r_closed), 1e-12))
-    add("rate-oracle-agreement", err_rate)
-    add("converse-identity", err_conv)
+    # (i) closed-form rate vs the log-det oracle; (ii) converse functional identity.
+    # The draws come one at a time in a fixed order; the oracle runs on their stack.
+    draws_i = [draw_params(rng, ch) for _ in range(draws)]
+    gs, Ps, cps = zip(*draws_i)
+    r_closed = np.array([rc.rate_per_state(g, P, cp, ch, base) for g, P, cp in draws_i])
+    r_conv = np.array([
+        rc.converse_rate(g, rc.ConverseCovariance.from_rhos(P, ch.Q - cp.d, cp.d,
+                                                            cp.rho1, cp.rho2), ch, base)
+        for g, P, cp in draws_i])
+    r_oracle = go.gp_rate_oracle(np.array(gs), np.array(Ps), cps, ch, base)
+    add("rate-oracle-agreement", np.max(np.abs(r_closed - r_oracle)))
+    add("converse-identity",
+        np.max(np.abs(r_conv - r_closed) / np.maximum(np.abs(r_closed), 1e-12)))
 
-    # (iii) Schur-complement oracles for the conditional variances
-    err_dist, err_vyu, err_vssy, err_vy = 0.0, 0.0, 0.0, 0.0
+    # (iii) Schur-complement oracles for the conditional variances, stacked as in (i)
+    draws_iii = []
     for _ in range(max(draws // 10, 100)):
         g, P, cp = draw_params(rng, ch)
-        cov = go.build_covariance(g, P, cp, ch)
-        err_dist = max(err_dist, abs(go.schur_conditional_variance(cov, "S", "U") - cp.d))
-        vyu = rc.cond_var_y_given_u(g, P, cp, ch)
-        err_vyu = max(err_vyu, abs(go.schur_conditional_variance(cov, "Y", "U") - vyu)
-                      / max(vyu, 1e-12))
         Kb = draw_converse_cov(rng, ch, boundary=True)
-        mb = go.converse_joint_covariance(g, Kb, ch)
-        schur = go.schur_conditional_variance(mb, "S", ("Shat", "Y"),
-                                              variables=go.CONVERSE_VARIABLES)
-        closed = rc.cond_var_s_given_shat_y(g, Kb, ch)
-        err_vssy = max(err_vssy, abs(schur - closed) / max(closed, 1e-12))
         K = draw_converse_cov(rng, ch)
-        m = go.converse_joint_covariance(g, K, ch)
-        vy = rc.var_y(g, K, ch)
-        err_vy = max(err_vy, abs(m[4, 4] - vy) / max(vy, 1e-12))
-    add("distortion-identity", err_dist)
-    add("schur-var-y-given-u", err_vyu)
-    add("schur-var-s-given-shat-y", err_vssy)
-    add("assembly-var-y", err_vy)
+        draws_iii.append((g, P, cp, Kb, K))
+    gs, Ps, cps, Kbs, Ks = zip(*draws_iii)
+    cov = go.build_covariance(np.array(gs), np.array(Ps), cps, ch)
+    d = np.array([cp.d for cp in cps])
+    add("distortion-identity", np.max(np.abs(go.schur_conditional_variance(cov, "S", "U") - d)))
+    vyu = np.array([rc.cond_var_y_given_u(g, P, cp, ch) for g, P, cp in zip(gs, Ps, cps)])
+    add("schur-var-y-given-u", np.max(np.abs(go.schur_conditional_variance(cov, "Y", "U") - vyu)
+                                      / np.maximum(vyu, 1e-12)))
+    mb = np.array([go.converse_joint_covariance(g, Kb, ch) for g, Kb in zip(gs, Kbs)])
+    schur = go.schur_conditional_variance(mb, "S", ("Shat", "Y"),
+                                          variables=go.CONVERSE_VARIABLES)
+    closed = np.array([rc.cond_var_s_given_shat_y(g, Kb, ch) for g, Kb in zip(gs, Kbs)])
+    add("schur-var-s-given-shat-y", np.max(np.abs(schur - closed) / np.maximum(closed, 1e-12)))
+    vy_assembled = np.array([go.converse_joint_covariance(g, K, ch)[4, 4] for g, K in zip(gs, Ks)])
+    vy = np.array([rc.var_y(g, K, ch) for g, K in zip(gs, Ks)])
+    add("assembly-var-y", np.max(np.abs(vy_assembled - vy) / np.maximum(vy, 1e-12)))
 
     # (iv) Monte-Carlo consistency of the construction
     err_mc_var, err_mc_rate = 0.0, 0.0

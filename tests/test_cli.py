@@ -234,6 +234,14 @@ def test_validate_rejects_small_samples(capsys):
     assert main(["validate", "--samples", "10"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--draws", "0"), ("--draws", "-5"),
+                                        ("--mc-sets", "0"), ("--mc-sets", "-2")])
+def test_validate_rejects_suites_without_draws(flag, value, capsys):
+    # a suite with no draws would report its checks as passed
+    assert main(["validate", "--samples", "200000", flag, value]) == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+
 def test_missing_config_file(capsys):
     assert main(["eval", "--config", "/nonexistent.json", "--g", "1", "--p", "1",
                  "--rho1", "0", "--rho2", "0", "--d", "0.5"]) == 2
