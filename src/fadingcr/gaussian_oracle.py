@@ -7,7 +7,8 @@ Monte-Carlo sampling. Note E[X^2] = P exactly: X carries an independent
 residual on top of its U and T components, so the disk interior is covered.
 
 Every oracle works on a stack of draws: build_covariance takes arrays of g
-and P with one CodingParams per draw and fills an (N, 5, 5) array, and
+and P with one CodingParams per draw and fills an (N, 5, 5) array,
+converse_joint_covariance does so from one ConverseCovariance per draw, and
 mutual_information and schur_conditional_variance take any matrix[..., n, n]
 and make one stacked LAPACK call per group of rows that drop the same
 degenerate coordinates. A single draw is a stack of one and returns floats.
@@ -114,23 +115,36 @@ def build_covariance(g: float | np.ndarray, P: float | np.ndarray,
 CONVERSE_VARIABLES = ("X", "Shat", "Sdiff", "S", "Y")
 
 
-def converse_joint_covariance(g: float, K: ConverseCovariance, ch: ChannelParams) -> np.ndarray:
-    """Joint covariance of (X, S_hat, S-S_hat, S, Y) implied by a converse covariance K."""
-    m = np.zeros((5, 5))
-    m[0, 0] = K.k00
-    m[1, 1] = K.k11
-    m[2, 2] = K.k22
-    m[0, 1] = m[1, 0] = K.k01
-    m[0, 2] = m[2, 0] = K.k02
+def converse_joint_covariance(g: float | np.ndarray,
+                              K: ConverseCovariance | Sequence[ConverseCovariance],
+                              ch: ChannelParams) -> np.ndarray:
+    """Joint covariance of (X, S_hat, S-S_hat, S, Y) implied by a converse covariance K.
+
+    Stacked as build_covariance is: scalar g and one K give a (5, 5) matrix,
+    length-N g and a sequence of N covariances an (N, 5, 5) stack.
+    """
+    single = isinstance(K, ConverseCovariance)
+    Ks = (K,) if single else tuple(K)
+    gs = np.asarray(g, dtype=float).reshape(-1)
+    if len(gs) != len(Ks):
+        raise ValueError(f"draw stack lengths differ: g {len(gs)}, K {len(Ks)}")
+    k00, k11, k22, k01, k02 = np.array([(c.k00, c.k11, c.k22, c.k01, c.k02) for c in Ks],
+                                       dtype=float).T
+    m = np.zeros((len(Ks), 5, 5))
+    m[:, 0, 0] = k00
+    m[:, 1, 1] = k11
+    m[:, 2, 2] = k22
+    m[:, 0, 1] = m[:, 1, 0] = k01
+    m[:, 0, 2] = m[:, 2, 0] = k02
     # S = Shat + Sdiff
     for i in range(3):
-        m[i, 3] = m[3, i] = m[i, 1] + m[i, 2]
-    m[3, 3] = K.k11 + K.k22
+        m[:, i, 3] = m[:, 3, i] = m[:, i, 1] + m[:, i, 2]
+    m[:, 3, 3] = k11 + k22
     # Y = g X + S + Z
     for i in range(4):
-        m[i, 4] = m[4, i] = g * m[i, 0] + m[i, 3]
-    m[4, 4] = g * g * K.k00 + 2.0 * g * m[0, 3] + m[3, 3] + ch.sigma_z2
-    return m
+        m[:, i, 4] = m[:, 4, i] = gs * m[:, i, 0] + m[:, i, 3]
+    m[:, 4, 4] = gs * gs * k00 + 2.0 * gs * m[:, 0, 3] + m[:, 3, 3] + ch.sigma_z2
+    return m[0] if single else m
 
 
 def _resolve(names: Iterable[str] | str, variables: Sequence[str] = VARIABLES) -> np.ndarray:

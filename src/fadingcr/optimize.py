@@ -20,11 +20,11 @@ bound carries a "duality gap" warning.
 
 The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
-to (0, 0). In adaptive-rho mode each node takes its own psi*(P), and one
-responses.AdaptiveRho per solve warm-starts each multiplier's power and psi
-solves from the last ones; fixed-rho mode takes the best psi of a 49-point
-scan and refines it by a regula-falsi search for a zero of the envelope
-derivative dV/dpsi. All searches are deterministic.
+to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
+mode takes the best psi of a 49-point scan and refines it by a regula-falsi
+search for a zero of the envelope derivative dV/dpsi. In both modes one
+responses object per solve starts each node's power solve from its last
+one. All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -237,9 +237,10 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
     back to x2 from lo while there is no hi and to the midpoint otherwise.
     The power may jump and never meet the budget, so each problem stops on
     its own bracket: narrower than floor relative, or hi below 1e-12 of its
-    hint's hi, where its multiplier counts as 0. A stopped problem is
-    re-evaluated at its own hi, which reproduces its response, so no result
-    depends on the rest of the batch. Returns budget-feasible responses, the
+    hint's hi, where its multiplier counts as 0. A stopped problem is passed
+    its last evaluated multiplier again, and that response is not taken, so
+    a memoizing respond leaves it as it was: each problem sees the same
+    multipliers in any batch. Returns budget-feasible responses, the
     multipliers and the brackets, which can seed the next solves; _recover
     spends the slack.
     """
@@ -251,25 +252,26 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
 
     seeded = hint[1] > 0.0
     cut = 1e-12 * np.where(seeded, hint[1], 1.0)
-    lam = np.where(seeded, 0.5 * (hint[0] + hint[1]), 0.5)
-    lo, hi, last = zero, np.where(free, 0.0, np.inf), np.full_like(budget, np.inf)
+    # a free problem is done, at its last evaluated multiplier 0
+    lam = np.where(free, 0.0, np.where(seeded, 0.5 * (hint[0] + hint[1]), 0.5))
+    lo, hi, last, done = zero, np.where(free, 0.0, np.inf), np.full_like(budget, np.inf), free
     for _ in range(200):
-        done = ((hi - lo <= floor * hi) & (hi < np.inf)) | (hi <= cut)
-        if done.all():
-            break
-        lam = np.where(done, hi, lam)
         r = respond(lam)
         excess = _wsum(r.power, weights) - budget
-        take = done | (excess <= 0.0)
+        take = ~done & (excess <= 0.0)
         resp = _take(r, resp, take)
-        lo, hi = np.where(take, lo, lam), np.where(take, lam, hi)
+        lo, hi = np.where(done | take, lo, lam), np.where(take, lam, hi)
         slope = _wsum(r.dpower, weights)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.abs(excess / slope)
         step = lam + np.where(excess > 0.0, 1.0, -1.0) * np.maximum(newton, 0.5 * floor * lam)
         ok = (slope < 0.0) & (newton <= 0.5 * last) & (lo < step) & (step < hi)
         nxt = np.where(ok, step, np.where(hi == np.inf, 2.0 * lo, 0.5 * (lo + hi)))
-        last, lam = np.where(ok, newton, np.abs(nxt - lam)), nxt
+        last = np.where(ok, newton, np.abs(nxt - lam))
+        done = ((hi - lo <= floor * hi) & (hi < np.inf)) | (hi <= cut)
+        if done.all():
+            break
+        lam = np.where(done, lam, nxt)
     return resp, hi, (lo, hi)
 
 
@@ -346,7 +348,6 @@ def _solve_fixed(g, w, ds, budget, ch, base):
         """_dual_solve and _recover over the problems of nodes: the responses,
         multipliers, brackets and certified gaps."""
         budgets = np.full(nodes.g.size // g.size, budget)
-        nodes.anchor(np.where(hint[1] > 0.0, np.sqrt(hint[0] * hint[1]), 1.0))
 
         def respond(lam):
             P, _, dP = nodes.powers(lam)
@@ -590,7 +591,7 @@ def rd_frontier(ch: ChannelParams, fading: FadingModel, P_budget: float,
 
 def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target: float,
               mode: str = "fixed-rho", nodes: int = 64, base: float = 2.0,
-              p_cap: float = POWER_CAP, warm_lo: float | None = None) -> float:
+              warm_lo: float | None = None) -> float:
     """Smallest average budget attaining rate >= R_target at distortion parameter d = D_target.
 
     Every solve is maximize_rate at d = D_target. The search starts at
@@ -602,12 +603,12 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     smallest that reaches it. Each next budget is the Newton step from the
     last solve, whose multiplier lam is the slope dR*/dB. A step outside the
     open bracket, or lam = 0, falls back to x4 from lo while hi is unknown
-    (capped at p_cap), /4 from hi while lo = 0 (floored at POWER_FLOOR *
+    (capped at POWER_CAP), /4 from hi while lo = 0 (floored at POWER_FLOOR *
     sigma_z2), and the midpoint otherwise. Returns hi once hi - lo <=
     POWER_RTOL * hi or hi <= POWER_FLOOR * sigma_z2, so maximize_rate at the
     answer reaches the target.
-    Each budget is solved at most once, and none above p_cap; raises
-    UnreachableError when p_cap misses.
+    Each budget is solved at most once, and none above POWER_CAP; raises
+    UnreachableError when POWER_CAP misses.
     """
     if R_target < 0:
         raise ConfigError("R_target must be nonnegative")
@@ -620,7 +621,7 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     if solve(0.0).rate >= R_target:
         return 0.0
     warm, floor = max(warm_lo or 0.0, 0.0), POWER_FLOOR * ch.sigma_z2
-    lo, hi, p = 0.0, math.inf, float(warm or min(ch.sigma_z2, p_cap))
+    lo, hi, p = 0.0, math.inf, float(warm or min(ch.sigma_z2, POWER_CAP))
     while True:
         sol = solve(p)
         excess = sol.rate - R_target
@@ -628,9 +629,9 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
             if p == warm:
                 return p
             hi = p
-        elif p >= p_cap:
+        elif p >= POWER_CAP:
             raise UnreachableError(
-                f"rate {R_target} at distortion {D_target} unreachable below budget {p_cap:g}")
+                f"rate {R_target} at distortion {D_target} unreachable below budget {POWER_CAP:g}")
         else:
             lo = p
         if hi * (1.0 - POWER_RTOL) <= lo or hi <= floor:
@@ -641,10 +642,10 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
         step = lo
         if sol.lam > 0.0:
             step = p + math.copysign(max(abs(excess) / sol.lam, 0.5 * POWER_RTOL * p), -excess)
-        if lo < step < min(hi, p_cap):
+        if lo < step < min(hi, POWER_CAP):
             p = step
         elif hi == math.inf:
-            p = min(4.0 * lo, p_cap)
+            p = min(4.0 * lo, POWER_CAP)
         elif lo == 0.0:
             p = max(hi / 4.0, floor)
         else:

@@ -8,8 +8,8 @@ dR/dP = c*N / (2T) is rational, with N = A'B - AB' of degree 2 and
 T = x*A*B of degree 5, and it falls where S = N'T - NT' < 0. Every solve
 here is a bracketed Newton iteration in ln P or in psi: nothing is tabled,
 no power is capped, and the caller evaluates the rates. FixedRho and
-AdaptiveRho each serve one solve: they memoize their responses by
-multiplier and start every Newton iteration from earlier solves.
+AdaptiveRho each serve one solve: they memoize their responses and start
+each node's power solve from its last one (newton_start).
 """
 
 from __future__ import annotations
@@ -67,6 +67,19 @@ def _dpower(P, lam, s):
     and 0 where s is not negative."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(s < 0.0, P / (lam * s), 0.0)
+
+
+def newton_start(lam, last: np.ndarray, c: float) -> np.ndarray:
+    """Start in y = ln P of each row's power solve m(P) = lam, from its last solve.
+
+    last holds the rows (multiplier, y, slope d ln m / d y). The start is the
+    prediction y + (ln lam - ln lam_last) / slope where it moves y by less
+    than 1, and ln(c / lam) otherwise, or for a row never solved (nan).
+    """
+    lam_last, y, slope = last
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pred = y + (np.log(lam) - np.log(lam_last)) / slope
+    return np.where(np.abs(pred - y) < 1.0, pred, np.log(c / lam))
 
 
 def arc_terms(g, x, psi, d, ch: ChannelParams):
@@ -132,12 +145,11 @@ class AdaptiveRho:
     node with g > 0 takes unbounded power.
 
     Each node keeps its last solve: multiplier, y, slope d ln m / d y and
-    psi*. A power solve starts from the first-order prediction
-    y + (ln lam' - ln lam) / slope where that moves y by less than 1, and
-    from ln(c / lam) otherwise; every psi solve starts from the node's
-    last psi*. The start thus depends on the multipliers seen before, so
-    each multiplier's powers, psi* and dP/dlam = P / (lam slope) are kept
-    and a visited multiplier reproduces them bit for bit.
+    psi*. A power solve starts from it by newton_start, and every psi solve
+    from the node's last psi*. The start thus depends on the multipliers
+    seen before, so each multiplier's powers, psi* and dP/dlam =
+    P / (lam slope) are kept and a visited multiplier reproduces them bit
+    for bit.
     """
 
     def __init__(self, g: np.ndarray, d: float, ch: ChannelParams, base: float):
@@ -145,9 +157,8 @@ class AdaptiveRho:
         self.c = 0.5 / math.log(base)
         self.m0 = np.where(g * math.sqrt(ch.Q - d) > 0.0, np.inf,
                            self.c * g * g / (ch.Q + ch.sigma_z2))
-        # each node's last interior solve: multiplier, y = ln P, slope, psi*
-        self._lam, self._y = np.full(g.size, np.nan), np.zeros(g.size)
-        self._slope, self._psi = np.zeros(g.size), np.zeros(g.size)
+        # each node's last interior solve: multiplier, y = ln P and slope; and psi*
+        self._last, self._psi = np.full((3, g.size), np.nan), np.zeros(g.size)
         self._memo: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def powers(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,16 +186,12 @@ class AdaptiveRho:
                     return (np.where(fx > 0.0, np.log(np.maximum(c * fx / (2.0 * lam * x), 0.0)),
                                      -np.inf), slope[i])
 
-            cold = np.full(live.size, math.log(c / lam))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pred = self._y[live] + (math.log(lam) - np.log(self._lam[live])) / self._slope[live]
-            y = newton(fun, np.where(np.abs(pred - self._y[live]) < 1.0, pred, cold),
-                       -np.inf, np.inf, 1e-9)
+            y = newton(fun, newton_start(lam, self._last[:, live], c), -np.inf, np.inf, 1e-9)
             P[live] = np.exp(y)
             # psi* at the final power, one short Newton solve from the last step's
             psi[live] = ps = arc_psi(gl, np.sqrt(P[live]), self.d, self.ch, ps)
             dP[live] = _dpower(P[live], lam, slope)
-            self._lam[live], self._y[live], self._slope[live], self._psi[live] = lam, y, slope, ps
+            self._last[0, live], self._last[1:, live], self._psi[live] = lam, (y, slope), ps
         self._memo[lam] = P, psi, dP
         return P, psi, dP
 
@@ -282,6 +289,8 @@ class FixedRho:
     their branches from np.roots. An element with more than one candidate
     (the branches' stationary points and P = 0) keeps the one of largest
     rate - lam*P, or the one of the row it is held on.
+    An instance serves one solve: each row keeps its response to its last
+    multiplier and its last Newton solve, the start of its next (newton_start).
     """
 
     def __init__(self, g, d, psi, n: int, ch: ChannelParams, base: float):
@@ -365,10 +374,10 @@ class FixedRho:
         # N > 0 on a branch, so its end at a root of N has marginal rate 0
         self.m_hi = np.where(zero, -np.inf, np.where(np.isfinite(self.xr), np.maximum(
             self.marginal(self.xr, e), 0.0), 0.0))
-        # each row's multiplier, power and dP/dlam at its last solve
+        # each row's multiplier, power and dP/dlam at its last response
         self._memo = (np.full(e.size, np.nan), np.zeros(e.size), np.zeros(e.size))
-        # each row's Newton start: intercept and slope in ln lam, anchor solution
-        self._ref = (np.full(e.size, np.nan), np.zeros(e.size), np.full(e.size, np.nan))
+        # each row's last Newton solve: multiplier, y = ln P and slope
+        self._last = np.full((3, e.size), np.nan)
         # the rows powers may pick; hold takes an element's other rows out
         self.pickable = np.ones(e.size, dtype=bool)
 
@@ -406,25 +415,13 @@ class FixedRho:
         self.pickable[np.isin(self.elem, elem)] = False
         self.pickable[self.start[elem] + k] = True
 
-    def anchor(self, lam: np.ndarray) -> None:
-        """Solve every branch once at lam (one multiplier per problem), so that later
-        solves start from the first-order prediction y + (ln lam' - ln lam) / slope."""
-        lr = lam[self.elem // self.n]
-        rows = np.flatnonzero((lr < self.m_lo) & (lr > self.m_hi))
-        y, slope = self._stationary(rows, lr[rows], np.log(self.c / lr[rows]))
-        with np.errstate(divide="ignore"):
-            e_ref = 1.0 / slope
-        ok = np.isfinite(e_ref)
-        r = rows[ok]
-        self._ref[0][r] = y[ok] - e_ref[ok] * np.log(lr[r])
-        self._ref[1][r], self._ref[2][r] = e_ref[ok], y[ok]
-
     def powers(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Best power of every element under lam (one multiplier per problem), the
-        row each element took and the row's dP/dlam. A power is a function of its
-        multiplier, so only the rows whose multiplier changed are solved again. On
-        a branch dP/dlam = P / (lam s), with s = d ln m / d ln P from the power
-        solve's last Newton step; it is 0 at a branch end."""
+        row each element took and the row's dP/dlam. Each row keeps its response
+        to its last multiplier, so only the rows whose multiplier changed are
+        solved again, each from its last solve (newton_start). On a branch
+        dP/dlam = P / (lam s), with s = d ln m / d ln P from the power solve's
+        last Newton step; it is 0 at a branch end."""
         e = self.elem
         lr = lam[e // self.n]
         rows = np.flatnonzero(lr != self._memo[0])
@@ -435,12 +432,10 @@ class FixedRho:
             inner = (lm < m_lo) & (lm > self.m_hi[rows])
             if inner.any():
                 i, li = rows[inner], lm[inner]
-                pred = self._ref[0][i] + self._ref[1][i] * np.log(li)
-                # the prediction where it moves the anchor solution by < 1
-                y0 = np.where(np.abs(pred - self._ref[2][i]) < 1.0, pred, np.log(self.c / li))
-                y, s = self._stationary(i, li, y0)
+                y, s = self._stationary(i, li, newton_start(li, self._last[:, i], self.c))
                 P[inner] = np.exp(y)
                 dP[inner] = _dpower(P[inner], li, s)
+                self._last[:, i] = li, y, s
             self._memo[0][rows], self._memo[1][rows], self._memo[2][rows] = lm, P, dP
         P, dP = self._memo[1], self._memo[2]
         if self.simple:

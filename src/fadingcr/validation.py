@@ -122,12 +122,14 @@ def run_validation(cfg: Config, draws: int = 10000, samples: int = 1_000_000,
     vyu = np.array([rc.cond_var_y_given_u(g, P, cp, ch) for g, P, cp in zip(gs, Ps, cps)])
     add("schur-var-y-given-u", np.max(np.abs(go.schur_conditional_variance(cov, "Y", "U") - vyu)
                                       / np.maximum(vyu, 1e-12)))
-    mb = np.array([go.converse_joint_covariance(g, Kb, ch) for g, Kb in zip(gs, Kbs)])
-    schur = go.schur_conditional_variance(mb, "S", ("Shat", "Y"),
+    # one assembly stacks the boundary draws Kb over the disk draws K
+    n = len(gs)
+    conv = go.converse_joint_covariance(np.tile(gs, 2), Kbs + Ks, ch)
+    schur = go.schur_conditional_variance(conv[:n], "S", ("Shat", "Y"),
                                           variables=go.CONVERSE_VARIABLES)
     closed = np.array([rc.cond_var_s_given_shat_y(g, Kb, ch) for g, Kb in zip(gs, Kbs)])
     add("schur-var-s-given-shat-y", np.max(np.abs(schur - closed) / np.maximum(closed, 1e-12)))
-    vy_assembled = np.array([go.converse_joint_covariance(g, K, ch)[4, 4] for g, K in zip(gs, Ks)])
+    vy_assembled = conv[n:, 4, 4]
     vy = np.array([rc.var_y(g, K, ch) for g, K in zip(gs, Ks)])
     add("assembly-var-y", np.max(np.abs(vy_assembled - vy) / np.maximum(vy, 1e-12)))
 

@@ -79,26 +79,27 @@ def test_criterion_4_converse_variance_formulas():
     # disk interior it is smaller by g^2 K00 (1-rho1^2-rho2^2) K22 / B);
     # Var(Y): checked on unrestricted disk draws.
     rng = np.random.Generator(np.random.PCG64(43))
-    worst_vssy, worst_vy = 0.0, 0.0
+    gs, Kbs, Ks = [], [], []
     for _ in range(10_000):
         g = rng.uniform(0.0, 4.0)
         k00 = rng.uniform(0.0, 10.0)
         k22 = rng.uniform(1e-6, CH.Q * 0.999999)
         th = rng.uniform(0.0, 2.0 * math.pi)
-        Kb = rc.ConverseCovariance.from_rhos(k00, CH.Q - k22, k22,
-                                             math.cos(th), math.sin(th))
-        mb = go.converse_joint_covariance(g, Kb, CH)
-        schur = go.schur_conditional_variance(mb, "S", ("Shat", "Y"),
-                                              variables=go.CONVERSE_VARIABLES)
-        closed = rc.cond_var_s_given_shat_y(g, Kb, CH)
-        worst_vssy = max(worst_vssy, abs(schur - closed) / max(closed, 1e-12))
-
         r = math.sqrt(rng.uniform(0.0, 1.0))
-        K = rc.ConverseCovariance.from_rhos(k00, CH.Q - k22, k22,
-                                            r * math.cos(th), r * math.sin(th))
-        m = go.converse_joint_covariance(g, K, CH)
-        worst_vy = max(worst_vy, abs(m[4, 4] - rc.var_y(g, K, CH))
-                       / max(rc.var_y(g, K, CH), 1e-12))
+        gs.append(g)
+        Kbs.append(rc.ConverseCovariance.from_rhos(k00, CH.Q - k22, k22,
+                                                   math.cos(th), math.sin(th)))
+        Ks.append(rc.ConverseCovariance.from_rhos(k00, CH.Q - k22, k22,
+                                                  r * math.cos(th), r * math.sin(th)))
+    # one stack holds the boundary draws, then the disk draws
+    n = len(gs)
+    m = go.converse_joint_covariance(np.tile(gs, 2), Kbs + Ks, CH)
+    schur = go.schur_conditional_variance(m[:n], "S", ("Shat", "Y"),
+                                          variables=go.CONVERSE_VARIABLES)
+    closed = np.array([rc.cond_var_s_given_shat_y(g, Kb, CH) for g, Kb in zip(gs, Kbs)])
+    worst_vssy = float(np.max(np.abs(schur - closed) / np.maximum(closed, 1e-12)))
+    vy = np.array([rc.var_y(g, K, CH) for g, K in zip(gs, Ks)])
+    worst_vy = float(np.max(np.abs(m[n:, 4, 4] - vy) / np.maximum(vy, 1e-12)))
     ok = worst_vssy <= 1e-10 and worst_vy <= 1e-10
     _report("4 (converse variances)", ok,
             f"Var(S|Shat,Y) err = {worst_vssy:.3e}, Var(Y) err = {worst_vy:.3e} (tol 1e-10)")

@@ -13,7 +13,7 @@ from fadingcr import optimize, responses
 from fadingcr.model import (ChannelParams, CodingParams, ConfigError, Degenerate, Discrete,
                             PerStatePolicy, Rayleigh, in_disk)
 from fadingcr.ergodic import avg_power, ergodic_rate, make_rule
-from fadingcr.optimize import (POWER_RTOL, UnreachableError, _dual_solve, _into_disk, _rates,
+from fadingcr.optimize import (POWER_CAP, POWER_RTOL, UnreachableError, _dual_solve, _into_disk, _rates,
                                _Response, concave_envelope, maximize_rate, min_power,
                                optimize_rho_per_state, power_distortion_curve, rd_frontier)
 
@@ -209,7 +209,7 @@ def test_min_power_consistent_with_frontier():
 
 def test_min_power_unreachable():
     with pytest.raises(UnreachableError):
-        min_power(CH, Degenerate(0.0), 0.1, 0.5, p_cap=1e3)
+        min_power(CH, Degenerate(0.0), 0.1, 0.5)
 
 
 def test_power_distortion_curve_structure():
@@ -324,8 +324,8 @@ def test_min_power_nonincreasing_in_distortion_near_full():
 def test_min_power_unreachable_solves_nothing_above_cap(solves, sigma_z2):
     ch = ChannelParams(CH.Q, sigma_z2, CH.P_avg)
     with pytest.raises(UnreachableError):
-        min_power(ch, Degenerate(0.0), 0.1, 0.5, nodes=1, p_cap=1e3)
-    assert solves and max(p for _, p in solves) <= 1e3
+        min_power(ch, Degenerate(0.0), 0.1, 0.5, nodes=1)
+    assert solves and max(p for _, p in solves) <= POWER_CAP
 
 
 def test_min_power_reaches_target_where_brent_stops_short():
@@ -548,6 +548,25 @@ def test_dual_solve_newton_batch_equals_single_solves():
         assert (bracket[0][b], bracket[1][b]) == (one[2][0][0], one[2][1][0])
         assert (resp.power[b] == one[0].power[0]).all()
         assert (resp.value[b] == one[0].value[0]).all()
+
+
+def test_dual_solve_passes_a_stopped_problem_its_last_multiplier():
+    # the first problem stops after 24 calls on a multiplier that overspent,
+    # its lo; while the second halves its way toward 0, the first is passed
+    # that multiplier again, so a memoizing respond is not made to solve it
+    # anew at hi, and it keeps the response it had at hi
+    lam_star, budget, w = np.array([0.2, 1e-300]), np.ones(2), np.array([1.0])
+    calls, single = [], []
+    resp, lam, (lo, hi) = _dual_solve(_step_response(lam_star, calls), w, budget,
+                                      hint=(np.zeros(2), np.ones(2)), floor=1e-6)
+    one = _dual_solve(_step_response(lam_star[:1], single), w, budget[:1], hint=UNIT, floor=1e-6)
+    k, last = len(single), single[-1][0]
+    assert last == one[2][0][0] < one[2][1][0]
+    assert len(calls) > k
+    assert [c[0] for c in calls[:k]] == [c[0] for c in single]
+    assert all(c[0] == last for c in calls[k:])
+    assert lo[0] == last and lam[0] == hi[0] == one[1][0]
+    assert resp.power[0, 0] == one[0].power[0, 0] <= budget[0]
 
 
 @pytest.mark.parametrize("mode", optimize.MODES)
@@ -865,6 +884,20 @@ def test_adaptive_solve_reuses_its_responses(monkeypatch):
     sol = maximize_rate(CH, Rayleigh(), 0.3 * CH.Q, CH.P_avg, mode="adaptive-rho", nodes=128)
     assert sol.rate == pytest.approx(0.369027288770711, rel=1e-12)
     assert len(calls) <= 742 // 2
+
+
+def test_fixed_rho_power_solves_start_from_each_rows_last_solve(monkeypatch):
+    # each row's Newton solve starts from its own last solve; a separate
+    # anchor solve of every branch, the start of all later ones, made these
+    # Rayleigh-64 solves take 41 and 47 _stationary calls (now 35 and 39)
+    calls = []
+    orig = responses.FixedRho._stationary
+    monkeypatch.setattr(responses.FixedRho, "_stationary",
+                        lambda *a: calls.append(1) or orig(*a))
+    for d, parent in ((0.3, 41), (CH.Q, 47)):
+        calls.clear()
+        maximize_rate(CH, Rayleigh(), d, CH.P_avg, nodes=64)
+        assert len(calls) < parent
 
 
 @pytest.mark.xfail(strict=True, reason="the 64-node rule leaves a certified gap of 3.2e-5 bits "

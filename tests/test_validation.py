@@ -122,6 +122,13 @@ def test_stacked_oracle_matches_single_draws():
     assert stacked.tolist() == [go.mutual_information(c, ("U", "T"), ("X", "Y"))
                                 for c in singles]
 
+    rng = np.random.Generator(np.random.PCG64(13))
+    Ks = [draw_converse_cov(rng, CH, boundary=i % 2 == 0) for i in range(len(cps))]
+    conv = go.converse_joint_covariance(gs, Ks, CH)
+    assert conv.shape == (len(Ks), 5, 5)
+    assert np.array_equal(conv, np.array([go.converse_joint_covariance(g, K, CH)
+                                          for g, K in zip(gs, Ks)]))
+
 
 def test_stacked_schur_falls_back_per_row(caplog):
     # X lies in the span of (U, T) on the disk rim, so Var(Y | U, T, X) has a
