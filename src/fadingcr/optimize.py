@@ -4,13 +4,13 @@ Power allocation across fading states is solved by Lagrangian decomposition
 (Goldsmith & Varaiya, IEEE Trans. IT 1997; Palomar & Fonollosa, IEEE Trans.
 SP 2005). For a multiplier lam every node maximizes rate - lam*P exactly,
 with no power table and no cap (responses.py), and lam is found by a
-safeguarded Newton iteration on the average-power budget, starting from
-the mean marginal rate at uniform power; the responses supply each node's
-dP/dlam. The iteration runs on a batch of independent problems at once (in
-fixed-rho mode every (d, psi) of a distortion grid), each with its own
-multiplier bracket and stop test. A primal-recovery step then meets each budget
-exactly: it mixes the responses at the two ends of the final multiplier
-bracket. The weak-duality bound at the final multiplier certifies each
+safeguarded Newton iteration in ln lam on the average-power budget,
+starting from the mean marginal rate at uniform power; the responses supply
+each node's dP/dlam. The iteration runs on a batch of independent problems
+at once (in fixed-rho mode every (d, psi) of a distortion grid), each with
+its own multiplier bracket and stop test. A primal-recovery step then
+meets each budget exactly: it mixes the responses at the two ends of the
+final multiplier bracket. The weak-duality bound at the final multiplier certifies each
 solve. In fixed-rho mode a node's response can jump across its
 concave-hull segment; a problem whose rate stays more than RECOVERY_GAP
 below its bound is solved again once for each row (a branch or P = 0) of
@@ -229,12 +229,15 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
     problem starts at the middle of its hint and keeps a bracket of
     evaluated multipliers: lo, the largest that overspends (at first 0), and
     hi, the smallest within budget (at first none). The next multiplier is
-    the Newton step on the spent power, with the slope sum_i w_i dP_i/dlam
-    of the response's dpower, moved at least floor/2 relative toward the
-    root so that it can cross it. A step outside the open bracket, a slope
-    that is not negative, or a step longer than half the one before it (as
-    in Numerical Recipes' rtsafe: a jumping power's slope misleads) falls
-    back to x2 from lo while there is no hi and to the midpoint otherwise.
+    the Newton step on the spent power in u = ln lam, with the slope
+    lam * sum_i w_i dP_i/dlam from the response's dpower: the spent power
+    goes as C/lam, or as a - b ln lam where nodes saturate, so the step is
+    near exact and stays positive from a start far above the root. It is
+    moved at least floor/2 in u toward the root, so that it can cross it. A
+    step outside the open bracket, a slope that is not negative, or a step
+    longer than half the one before it in u (as in Numerical Recipes'
+    rtsafe: a jumping power's slope misleads) falls back to x2 from lo while
+    there is no hi and to the midpoint otherwise.
     The power may jump and never meet the budget, so each problem stops on
     its own bracket: narrower than floor relative, or hi below 1e-12 of its
     hint's hi, where its multiplier counts as 0. A stopped problem is passed
@@ -261,13 +264,15 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
         take = ~done & (excess <= 0.0)
         resp = _take(r, resp, take)
         lo, hi = np.where(done | take, lo, lam), np.where(take, lam, hi)
-        slope = _wsum(r.dpower, weights)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the slope of the excess in u = ln lam
+        slope = lam * _wsum(r.dpower, weights)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = np.abs(excess / slope)
-        step = lam + np.where(excess > 0.0, 1.0, -1.0) * np.maximum(newton, 0.5 * floor * lam)
-        ok = (slope < 0.0) & (newton <= 0.5 * last) & (lo < step) & (step < hi)
-        nxt = np.where(ok, step, np.where(hi == np.inf, 2.0 * lo, 0.5 * (lo + hi)))
-        last = np.where(ok, newton, np.abs(nxt - lam))
+            up = np.where(excess > 0.0, 1.0, -1.0)
+            step = lam * np.exp(up * np.maximum(newton, 0.5 * floor))
+            ok = (slope < 0.0) & (newton <= 0.5 * last) & (lo < step) & (step < hi)
+            nxt = np.where(ok, step, np.where(hi == np.inf, 2.0 * lo, 0.5 * (lo + hi)))
+            last = np.where(ok, newton, np.abs(np.log(nxt / lam)))
         done = ((hi - lo <= floor * hi) & (hi < np.inf)) | (hi <= cut)
         if done.all():
             break

@@ -6,10 +6,12 @@ rate of rate_core._rate_kernel is c*ln(A/B) plus a constant, c =
 1/(2 ln base), where A and B are quadratics in x. So the marginal rate
 dR/dP = c*N / (2T) is rational, with N = A'B - AB' of degree 2 and
 T = x*A*B of degree 5, and it falls where S = N'T - NT' < 0. Every solve
-here is a bracketed Newton iteration in ln P or in psi: nothing is tabled,
-no power is capped, and the caller evaluates the rates. FixedRho and
-AdaptiveRho each serve one solve: they memoize their responses and start
-each node's power solve from its last one (newton_start).
+here is a bracketed Newton iteration in a variable in which its function
+is near linear: ln P, the distance -ln(ln P_r - ln P) to a branch end P_r
+where the marginal rate falls to 0, or psi. Nothing is tabled, no power is
+capped, and the caller evaluates the rates. FixedRho and AdaptiveRho each
+serve one solve: they memoize their responses and start each node's power
+solve from its last one (newton_start).
 """
 
 from __future__ import annotations
@@ -255,22 +257,20 @@ def _on_interval(p: np.ndarray, lo, hi) -> np.ndarray:
     return q
 
 
-def _branches(N: np.ndarray, S: np.ndarray) -> list[tuple[float, float]]:
-    """Branches of one element, from all positive roots of N and S (np.roots)."""
-    pts = set()
-    for p in (N, S):
-        if p.any():
-            pts.update(float(q.real) for q in np.roots(p[::-1])
-                       if q.real > 0 and abs(q.imag) <= 1e-9 * abs(q))
-    edges = [0.0, *sorted(pts), math.inf]
-    out: list[tuple[float, float]] = []
+def _branches(N: np.ndarray, S: np.ndarray) -> list[tuple[float, float, bool]]:
+    """Branches (lo, hi, hi is a root of N) of one element, from all positive roots of N
+    and S (np.roots)."""
+    roots = [{float(q.real) for q in (np.roots(p[::-1]) if p.any() else ())
+              if q.real > 0 and abs(q.imag) <= 1e-9 * abs(q)} for p in (N, S)]
+    edges = [0.0, *sorted(roots[0] | roots[1]), math.inf]
+    out: list[tuple[float, float, bool]] = []
     for lo, hi in zip(edges, edges[1:]):
         probe = (1.0 if math.isinf(hi) else 0.5 * hi) if lo == 0.0 else (
             2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi))
         if _peval(N, probe)[0] > 0.0 and _peval(S, probe)[0] < 0.0:
             if out and out[-1][1] == lo:
                 lo = out.pop()[0]
-            out.append((lo, hi))
+            out.append((lo, hi, hi in roots[0]))
     return out
 
 
@@ -289,8 +289,11 @@ class FixedRho:
     their branches from np.roots. An element with more than one candidate
     (the branches' stationary points and P = 0) keeps the one of largest
     rate - lam*P, or the one of the row it is held on.
-    An instance serves one solve: each row keeps its response to its last
-    multiplier and its last Newton solve, the start of its next (newton_start).
+    A row's power solve is a Newton iteration in y = ln P or, on a branch
+    that ends at a root x_r of N, in the distance v = -ln(y_r - y) to that
+    end (_stationary). An instance serves one solve: each row keeps its
+    response to its last multiplier and its last Newton solve in y, the
+    start of its next (newton_start).
     """
 
     def __init__(self, g, d, psi, n: int, ch: ChannelParams, base: float):
@@ -317,8 +320,11 @@ class FixedRho:
         vn, n_low = _sign_changes(N)
         with np.errstate(divide="ignore", invalid="ignore"):
             disc = np.sqrt(n1 * n1 - 4.0 * n0 * n2)
-            # the positive root, in the form without cancellation for each sign of n0
-            X = np.where(n0 == 0.0, -n1 / n2, 2.0 * n0 / np.where(n0 > 0.0, disc - n1, -n1 - disc))
+            # the positive root, of the pair q / n2, n0 / q, where q has no
+            # cancellation: a power solve near it takes it as N's exact root
+            q = -0.5 * (n1 + np.copysign(disc, n1))
+            X = np.where(n0 == 0.0, -n1 / n2, np.where(n2 == 0.0, -n0 / n1,
+                                                       np.maximum(q / n2, n0 / q)))
             # on (0, inf), split at the geometric mean of the magnitudes of S's roots
             nz = S != 0.0
             k_lo, k_hi = nz.argmax(-1), S.shape[-1] - 1 - nz[:, ::-1].argmax(-1)
@@ -349,20 +355,22 @@ class FixedRho:
         peak = np.zeros(g.size)
         peak[r] = np.exp(newton(fun, np.where(np.isinf(yl), yh - 1.0, np.where(
             np.isinf(yh), yl + 1.0, 0.5 * (yl + yh))), yl, yh, 1e-14))
-        # rows (elements, lo, hi, zero): an element with more than one
-        # candidate gets a P = 0 row first, then its branches by ascending x
-        rows = [(concave, 0.0, U, False), (rising | flat, 0.0, 0.0, True),
-                (rising, peak, U, False)]
-        rows = [(np.flatnonzero(m), lo, hi, z) for m, lo, hi, z in rows]
+        # rows (elements, lo, hi, zero, hi is a root of N where finite): an
+        # element with more than one candidate gets a P = 0 row first, then its
+        # branches by ascending x
+        rows = [(concave, 0.0, U, False, True), (rising | flat, 0.0, 0.0, True, False),
+                (rising, peak, U, False, True)]
+        rows = [(np.flatnonzero(m), *r) for m, *r in rows]
         for e in np.flatnonzero(~(concave | rising | flat)):
-            rows.append((np.array([e]), 0.0, 0.0, True))
-            rows += [(np.array([e]), lo, hi, False) for lo, hi in _branches(N[e], S[e])]
+            rows.append((np.array([e]), 0.0, 0.0, True, False))
+            rows += [(np.array([e]), lo, hi, False, k) for lo, hi, k in _branches(N[e], S[e])]
         elem = np.concatenate([e for e, *_ in rows])
         order = np.argsort(elem, kind="stable")
         self.elem = elem[order]
         self.xl, self.xr = (np.concatenate([np.broadcast_to(r[j], g.shape)[r[0]]
                                             for r in rows])[order] for j in (1, 2))
-        zero = np.concatenate([np.full(e.shape, z) for e, *_, z in rows])[order]
+        zero, at_root = (np.concatenate([np.full(r[0].shape, r[j]) for r in rows])[order]
+                         for j in (3, 4))
         self.simple = self.elem.size == g.size
         self.start = np.flatnonzero(np.r_[True, self.elem[1:] != self.elem[:-1]])
 
@@ -374,6 +382,17 @@ class FixedRho:
         # N > 0 on a branch, so its end at a root of N has marginal rate 0
         self.m_hi = np.where(zero, -np.inf, np.where(np.isfinite(self.xr), np.maximum(
             self.marginal(self.xr, e), 0.0), 0.0))
+        # the rows whose branch ends at a root x_r of N, where the power solve
+        # runs in the distance v = -ln(y_r - y) to that end (_stationary); and
+        # per row (n_a, k, x_r, y_r) of N = n_a + d (k + n2 x): d = x - x_r and
+        # N = (x - x_r)(n2 x - n0 / x_r) there, d = x and N = n0 + x (n1 + n2 x)
+        # elsewhere, with x_r = y_r = 0
+        self.at_root = at_root & np.isfinite(self.xr)
+        xr = np.where(self.at_root, self.xr, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._nterms = np.vstack([np.where(self.at_root, 0.0, n0[e]),
+                                      np.where(self.at_root, -n0[e] / xr, n1[e]), xr,
+                                      np.where(self.at_root, 2.0 * np.log(xr), 0.0)])
         # each row's multiplier, power and dP/dlam at its last response
         self._memo = (np.full(e.size, np.nan), np.zeros(e.size), np.zeros(e.size))
         # each row's last Newton solve: multiplier, y = ln P and slope
@@ -390,25 +409,44 @@ class FixedRho:
 
     def _stationary(self, rows: np.ndarray, lam: np.ndarray, y0: np.ndarray):
         """y = ln P with marginal rate lam on each row's branch, Newton from y0; and the
-        slope d ln m / d y of each row's last Newton evaluation."""
-        coef = self.coef[:, self.elem[rows]]
+        slope d ln m / d y of each row's last Newton evaluation.
+
+        A branch that ends at a root x_r of N has m proportional to x_r - x
+        near that end, where ln m is log-singular in y. Its row's Newton
+        iteration runs in the distance v = -ln(y_r - y) to that end instead,
+        in which ln m is near linear, and N comes from x_r - x = x_r (1 -
+        e^(-(y_r - y)/2)) with y_r - y = e^(-v), so a root near the end keeps
+        its relative precision. Other rows run in y.
+        """
+        end = self.at_root[rows]
         with np.errstate(divide="ignore"):
             yl, yr = 2.0 * np.log(self.xl[rows]), 2.0 * np.log(self.xr[rows])
         slope = np.zeros(rows.size)
 
-        def fun(y, i):
-            # ln(m / lam) and its slope over y, -inf where N <= 0
-            n0, n1, n2, a0, a1, a2, b0, b1, b2 = coef[:, i]
-            x = np.exp(0.5 * y)
-            nv, av, bv = n0 + x * (n1 + x * n2), a0 + x * (a1 + x * a2), b0 + x * (b1 + x * b2)
-            dlog = x * ((a1 + 2.0 * a2 * x) / av + (b1 + 2.0 * b2 * x) / bv)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = self.c * nv / (2.0 * lam[i] * x * av * bv)
-                slope[i] = 0.5 * (x * (n1 + 2.0 * n2 * x) / nv - 1.0 - dlog)
-                return np.where(nv > 0.0, np.log(np.maximum(ratio, 0.0)), -np.inf), slope[i]
+        def fun(z, i):
+            # ln(m / lam) and its slope over z (v or y), -inf where N <= 0
+            ri = rows[i]
+            _, n1, n2, a0, a1, a2, b0, b1, b2 = self.coef[:, self.elem[ri]]
+            na, k, r, ye = self._nterms[:, ri]
+            e, li = end[i], lam[i]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t = np.exp(-z)  # y_r - y where e
+                x = np.exp(0.5 * np.where(e, ye - t, z))
+                # d = x - x_r from t itself where e
+                nv = na + np.where(e, r * np.expm1(-0.5 * t), x) * (k + n2 * x)
+                av, bv = a0 + x * (a1 + x * a2), b0 + x * (b1 + x * b2)
+                dlog = x * ((a1 + 2.0 * a2 * x) / av + (b1 + 2.0 * b2 * x) / bv)
+                ratio = self.c * nv / (2.0 * li * x * av * bv)
+                s = slope[i] = 0.5 * (x * (n1 + 2.0 * n2 * x) / nv - 1.0 - dlog)
+                return (np.where(nv > 0.0, np.log(np.maximum(ratio, 0.0)), -np.inf),
+                        np.where(e, t, 1.0) * s)
 
         margin = np.minimum(1e-3, 0.25 * (yr - yl))
-        return newton(fun, np.clip(y0, yl + margin, yr - margin), yl, yr, 1e-9), slope
+        y0 = np.clip(y0, yl + margin, yr - margin)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z0, zl = np.where(end, -np.log(yr - y0), y0), np.where(end, -np.log(yr - yl), yl)
+        z = newton(fun, z0, zl, np.where(end, np.inf, yr), 1e-9)
+        return np.where(end, yr - np.exp(-z), z), slope
 
     def hold(self, elem: np.ndarray, k: np.ndarray) -> None:
         """Hold each element elem on its k-th row: powers picks none of its other rows."""

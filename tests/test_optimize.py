@@ -569,13 +569,45 @@ def test_dual_solve_passes_a_stopped_problem_its_last_multiplier():
     assert resp.power[0, 0] == one[0].power[0, 0] <= budget[0]
 
 
+def _saturating(a, b, lam0, cap, calls):
+    """Power clip(a - b ln(lam / lam0), 0, cap) of one node, with dP/dlam = -b / lam inside
+    the clip: the spent power is linear in ln lam, as when nodes saturate."""
+    def respond(lam):
+        calls.append(lam.copy())
+        with np.errstate(divide="ignore"):
+            free = a - b * np.log(lam[:, None] / lam0)
+        power = np.clip(free, 0.0, cap)
+        inside = (free > 0.0) & (free < cap)
+        dpower = np.where(inside, -b / np.where(inside, lam[:, None], 1.0), 0.0)
+        return _Response(power, power, np.zeros_like(power), np.zeros_like(power), dpower)
+    return respond
+
+
+def test_dual_solve_steps_in_ln_lam_from_a_far_hint():
+    # a hint 150x above lam*: a Newton step in ln lam lands on lam* at once, and
+    # the search stops within 5 respond calls, the zero multiplier included;
+    # Newton steps in lam itself fell below 0 and halved their way down (12 calls)
+    a, b, lam0, w = 1.0, 0.1, 0.37, np.array([1.0])
+    for B in (1.1, 1.15):
+        lam_star, calls = lam0 * math.exp((a - B) / b), []
+        hint = (np.array([0.8 * 150.0 * lam_star]), np.array([1.25 * 150.0 * lam_star]))
+        resp, lam, (lo, hi) = _dual_solve(_saturating(a, b, lam0, 2.0, calls), w,
+                                          np.array([B]), hint, floor=1e-3)
+        assert len(calls) <= 5
+        # the bracket holds the root of the rounded response, within 2e-15 of lam*
+        assert 0.0 < hi[0] - lo[0] <= 1e-3 * hi[0] and lam[0] == hi[0]
+        assert resp.power[0, 0] <= B < _saturating(a, b, lam0, 2.0, [])(lo).power[0, 0]
+        assert lo[0] * (1.0 - 2e-15) <= lam_star <= hi[0] * (1.0 + 2e-15)
+
+
 @pytest.mark.parametrize("mode", optimize.MODES)
 def test_bisection_is_scale_invariant(monkeypatch, mode):
     # the multiplier search starts from the mean marginal rate at uniform
-    # power, which scales as 1/c: Newton steps take 21 respond calls in
-    # fixed-rho mode and 6 in adaptive-rho mode at both scales (the bisection
-    # took 78 and 22), and a bisection from (0, 1) took 25 respond calls at
-    # c = 1 and 65 at c = 1e12 in adaptive-rho mode
+    # power, which scales as 1/c: Newton steps in ln lam take 20 respond calls
+    # in fixed-rho mode and 6 in adaptive-rho mode at both scales (steps in
+    # lam took 21 and 6, the bisection 78 and 22), and a bisection from
+    # (0, 1) took 25 respond calls at c = 1 and 65 at c = 1e12 in adaptive-rho
+    # mode
     calls = []
 
     def counted(respond, *args, **kw):
@@ -889,7 +921,7 @@ def test_adaptive_solve_reuses_its_responses(monkeypatch):
 def test_fixed_rho_power_solves_start_from_each_rows_last_solve(monkeypatch):
     # each row's Newton solve starts from its own last solve; a separate
     # anchor solve of every branch, the start of all later ones, made these
-    # Rayleigh-64 solves take 41 and 47 _stationary calls (now 35 and 39)
+    # Rayleigh-64 solves take 41 and 47 _stationary calls (now 24 and 39)
     calls = []
     orig = responses.FixedRho._stationary
     monkeypatch.setattr(responses.FixedRho, "_stationary",
@@ -898,6 +930,48 @@ def test_fixed_rho_power_solves_start_from_each_rows_last_solve(monkeypatch):
         calls.clear()
         maximize_rate(CH, Rayleigh(), d, CH.P_avg, nodes=64)
         assert len(calls) < parent
+
+
+def _count_newton_evaluations(monkeypatch) -> list:
+    """One entry per fun evaluation of every responses.newton call from now on."""
+    evals = []
+    orig = responses.newton
+    monkeypatch.setattr(responses, "newton", lambda fun, *a: orig(
+        lambda y, i: evals.append(1) or fun(y, i), *a))
+    return evals
+
+
+def test_fixed_rho_power_solve_near_a_branch_end(monkeypatch):
+    # rows whose branch ends at a root x_r of N, with the root at
+    # x_r e^(-2.5e-5), i.e. 5e-5 below y_r = ln x_r^2, and a cold start from
+    # ln(c / lam). A Newton iteration in y = ln P, where ln m is log-singular at
+    # the end, overshot, bisected and crawled back: 10 evaluations
+    evals = _count_newton_evaluations(monkeypatch)
+    g = np.array(make_rule(Rayleigh(), 64).nodes)
+    psi = np.arcsin(np.linspace(-1.0, 1.0, 49))
+    for d in (1e-3, 1e-2):
+        nodes = responses.FixedRho(np.tile(g, psi.size), np.full(g.size * psi.size, d),
+                                   np.repeat(psi, g.size), g.size, CH, 2.0)
+        rows = np.flatnonzero(np.isfinite(nodes.xr) & (nodes.xr > 0.0))
+        assert rows.size > 2000
+        lam = nodes.marginal(nodes.xr[rows] * math.exp(-2.5e-5), nodes.elem[rows])
+        evals.clear()
+        y, _ = nodes._stationary(rows, lam, np.log(nodes.c / lam))
+        assert len(evals) <= 4
+        np.testing.assert_allclose(y, 2.0 * np.log(nodes.xr[rows]) - 5e-5, rtol=0, atol=1e-13)
+
+
+def test_fixed_rho_frontier_work_is_pinned(monkeypatch):
+    # the 12-point Rayleigh-64 frontier made 210 respond calls and 2,380 newton
+    # evaluations with Newton steps in lam and in ln P up to every branch end
+    evals = _count_newton_evaluations(monkeypatch)
+    calls = []
+    orig = optimize._dual_solve
+    monkeypatch.setattr(optimize, "_dual_solve", lambda respond, *a: orig(
+        lambda lam: calls.append(1) or respond(lam), *a))
+    rd_frontier(CH, Rayleigh(), 2.5, grid=np.geomspace(1e-3, 1.0, 12), nodes=64)
+    assert len(calls) <= 150
+    assert len(evals) <= 800
 
 
 @pytest.mark.xfail(strict=True, reason="the 64-node rule leaves a certified gap of 3.2e-5 bits "
