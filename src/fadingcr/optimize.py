@@ -324,7 +324,7 @@ def _arc_response(nodes: AdaptiveRho, P: np.ndarray, psi: np.ndarray) -> _Respon
     return _Response(value[None], P[None], r1[None], r2[None])
 
 
-def _solve_fixed(g, w, ds, budget, ch, base):
+def _solve_fixed(g, w, ds, budget, ch, base, scan=None):
     """Shared-(rho1, rho2) mode for every distortion in ds at once.
 
     Per distortion: a 49-point rho2 scan, then an Illinois regula-falsi
@@ -339,6 +339,10 @@ def _solve_fixed(g, w, ds, budget, ch, base):
     the others free; the best solve wins, and its gap is the first solve's
     bound minus its rate. Returns the responses (one row per distortion),
     the multipliers and the certified duality gaps.
+    The scan's FixedRho structures do not depend on the budget. scan, when
+    given, is a list that keeps them for later solves of the same g and ds:
+    the chunks it lacks are built and added, and each solve runs on a
+    fresh() state over them.
     """
     psi_grid = np.arcsin(np.linspace(-1.0, 1.0, 49))
     k = psi_grid.size
@@ -362,9 +366,10 @@ def _solve_fixed(g, w, ds, budget, ch, base):
         return (*_recover(respond, lambda P: _fixed_response(nodes, P), w, budgets, resp, lo, hi),
                 lam, lo, hi)
 
-    def chunk(d, psi, floor, hint, keep):
-        """One chunk of solve; its solver state is freed before the next is built."""
-        nodes = problems(d, psi)
+    def chunk(nodes, d, psi, floor, hint, keep):
+        """One chunk of solve, over nodes = problems(d, psi). Its solve state is
+        freed before the next chunk's is made, and so is its structure unless
+        scan keeps it."""
         if hint is None:
             hint = _marginal_hint(nodes.marginal(math.sqrt(budget)).reshape(-1, g.size), w)
         resp, gap, lam, lo, hi = recovered(nodes, hint, floor)
@@ -392,11 +397,20 @@ def _solve_fixed(g, w, ds, budget, ch, base):
         return (rate, _wsum(nodes.slope(resp.power), w), lo * 0.997, hi * 1.003, lam,
                 gap) + ((resp,) if keep else ())
 
-    def solve(d, psi, floor, hint=None, keep=False):
+    def solve(d, psi, floor, hint=None, keep=False, built=None):
         """Recovered solves of problems (d, psi): rates, slopes dV/dpsi, widened
-        brackets, multipliers, gaps and, when keep, the responses."""
-        out = [chunk(d[c], psi[c], floor, None if hint is None else (hint[0][c], hint[1][c]),
-                     keep) for c in (slice(s, s + step) for s in range(0, d.size, step))]
+        brackets, multipliers, gaps and, when keep, the responses. built, when
+        given, keeps the chunks' structures (scan)."""
+        def nodes(j, c):
+            if built is None:
+                return problems(d[c], psi[c])
+            if j == len(built):
+                built.append(problems(d[c], psi[c]))
+            return built[j].fresh()
+
+        out = [chunk(nodes(j, c), d[c], psi[c], floor,
+                     None if hint is None else (hint[0][c], hint[1][c]), keep)
+               for j, c in enumerate(slice(s, s + step) for s in range(0, d.size, step))]
         cat = [np.concatenate(z) for z in list(zip(*out))[:6]]
         if keep:
             cat.append(_Response(*(np.concatenate([getattr(o[6], f) for o in out])
@@ -405,7 +419,8 @@ def _solve_fixed(g, w, ds, budget, ch, base):
 
     # the scan ranks the grid's psi values: after the recovery a bracket floor
     # of 1e-3 leaves its rates off by O(1e-6 lam B)
-    coarse, c_slope, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3)
+    coarse, c_slope, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3,
+                                              built=scan)
     row = np.arange(ds.size) * k
     basin = np.argmax(coarse.reshape(ds.size, k), axis=1)
     best_v, f0, h_lo, h_hi, lam, gap, resp = solve(
@@ -465,8 +480,10 @@ def _solve_adaptive(g, w, d, budget, ch, base):
 
 
 def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
-                P_budget: float, mode: str, nodes: int, base: float) -> list[RateSolution]:
-    """maximize_rate at each distortion of ds; fixed-rho solves them as one batch."""
+                P_budget: float, mode: str, nodes: int, base: float,
+                scan: list | None = None) -> list[RateSolution]:
+    """maximize_rate at each distortion of ds; fixed-rho solves them as one batch, and
+    keeps its psi scan's structures in scan when given (_solve_fixed)."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")
     ch.validate()
@@ -496,7 +513,7 @@ def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
         return out
 
     if mode == "fixed-rho":
-        resp, lam, gap = _solve_fixed(g, w, np.array(ds, dtype=float), P_budget, ch, base)
+        resp, lam, gap = _solve_fixed(g, w, np.array(ds, dtype=float), P_budget, ch, base, scan)
         solved = [(resp, b, lam[b], gap[b]) for b in range(len(ds))]
     else:
         solved = []
@@ -526,9 +543,10 @@ def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
 
 def maximize_rate(ch: ChannelParams, fading: FadingModel, d: float, P_budget: float,
                   mode: str = "fixed-rho", nodes: int = 64,
-                  base: float = 2.0) -> RateSolution:
+                  base: float = 2.0, *, _scan: list | None = None) -> RateSolution:
     """Maximize the expected rate at distortion parameter d under E_G[P(G)] <= P_budget."""
-    return _solve_grid(ch, fading, [d], P_budget, mode, nodes, base)[0]
+    # _scan is min_power's: the psi scan's structures, shared by its solves at one d
+    return _solve_grid(ch, fading, [d], P_budget, mode, nodes, base, _scan)[0]
 
 
 def concave_envelope(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -594,6 +612,17 @@ def rd_frontier(ch: ChannelParams, fading: FadingModel, P_budget: float,
     return Frontier(points=tuple(p for p in raw if p.D in env_d))
 
 
+def _hermite_budget(R: float, lo: tuple[float, float, float],
+                    hi: tuple[float, float, float]) -> float:
+    """The cubic Hermite interpolant of the budget B(R) at rate R, from the solved ends
+    lo and hi, each (B, R*(B), lam), where dB/dR = 1 / lam."""
+    (b0, r0, l0), (b1, r1, l1) = lo, hi
+    h = r1 - r0
+    t = (R - r0) / h
+    return (b0 * (1.0 + 2.0 * t) * (1.0 - t) ** 2 + h / l0 * t * (1.0 - t) ** 2
+            + b1 * t * t * (3.0 - 2.0 * t) - h / l1 * t * t * (1.0 - t))
+
+
 def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target: float,
               mode: str = "fixed-rho", nodes: int = 64, base: float = 2.0,
               warm_lo: float | None = None) -> float:
@@ -605,40 +634,53 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     natural unit of P (rates are invariant under a joint scale of Q, d,
     sigma_z2 and P). The solved budgets bracket the answer: lo is the
     largest that misses the target (at first the zero budget) and hi the
-    smallest that reaches it. Each next budget is the Newton step from the
-    last solve, whose multiplier lam is the slope dR*/dB. A step outside the
-    open bracket, or lam = 0, falls back to x4 from lo while hi is unknown
-    (capped at POWER_CAP), /4 from hi while lo = 0 (floored at POWER_FLOOR *
-    sigma_z2), and the midpoint otherwise. Returns hi once hi - lo <=
-    POWER_RTOL * hi or hi <= POWER_FLOOR * sigma_z2, so maximize_rate at the
-    answer reaches the target.
+    smallest that reaches it. Each solve's multiplier lam is the slope
+    dR*/dB. While lo or hi is not a positive budget solved with lam > 0, the
+    next budget is the Newton step from the last solve; once both are, it is
+    the inverse cubic Hermite interpolant of B(R) through both ends, with
+    slopes 1/lam, at R_target. A step moves at least POWER_RTOL/2 relative
+    toward the target. A step outside the open bracket, or lam = 0, falls
+    back to x4 from lo while hi is unknown (capped at POWER_CAP), /4 from hi
+    while lo = 0 (floored at POWER_FLOOR * sigma_z2), and the midpoint
+    otherwise. Returns hi once hi - lo <= POWER_RTOL * hi or hi <=
+    POWER_FLOOR * sigma_z2, so maximize_rate at the answer reaches the
+    target.
     Each budget is solved at most once, and none above POWER_CAP; raises
-    UnreachableError when POWER_CAP misses.
+    UnreachableError when POWER_CAP misses. The fixed-rho psi scan's
+    FixedRho structures do not depend on the budget: the first solve builds
+    them, the later ones reuse them with their own solve state, and they are
+    dropped on return. Every solve equals maximize_rate at its budget.
     """
     if R_target < 0:
         raise ConfigError("R_target must be nonnegative")
     if not (ch.d_min <= D_target <= ch.Q):
         raise ConfigError(f"D_target={D_target} outside ({ch.d_min:g}, {ch.Q}]")
 
+    # the fixed-rho psi scan's structures at D_target, built by the first solve
+    scan: list = []
+
     def solve(p: float) -> RateSolution:
-        return maximize_rate(ch, fading, D_target, p, mode=mode, nodes=nodes, base=base)
+        return maximize_rate(ch, fading, D_target, p, mode=mode, nodes=nodes, base=base,
+                             _scan=scan)
 
     if solve(0.0).rate >= R_target:
         return 0.0
     warm, floor = max(warm_lo or 0.0, 0.0), POWER_FLOOR * ch.sigma_z2
     lo, hi, p = 0.0, math.inf, float(warm or min(ch.sigma_z2, POWER_CAP))
+    # (rate, lam) at lo and hi; lam = 0 until a positive budget is solved there
+    at_lo = at_hi = (0.0, 0.0)
     while True:
         sol = solve(p)
         excess = sol.rate - R_target
         if excess >= 0.0:
             if p == warm:
                 return p
-            hi = p
+            hi, at_hi = p, (sol.rate, sol.lam)
         elif p >= POWER_CAP:
             raise UnreachableError(
                 f"rate {R_target} at distortion {D_target} unreachable below budget {POWER_CAP:g}")
         else:
-            lo = p
+            lo, at_lo = p, (sol.rate, sol.lam)
         if hi * (1.0 - POWER_RTOL) <= lo or hi <= floor:
             return hi
         # Newton on a concave R* lands below the root from either side, so a
@@ -646,7 +688,12 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
         # can cross it; lam = 0 gives no step, and lo lies outside the bracket
         step = lo
         if sol.lam > 0.0:
-            step = p + math.copysign(max(abs(excess) / sol.lam, 0.5 * POWER_RTOL * p), -excess)
+            move = -excess / sol.lam
+            if at_lo[1] > 0.0 and at_hi[1] > 0.0:
+                move = _hermite_budget(R_target, (lo, *at_lo), (hi, *at_hi)) - p
+            # a move away from the target leaves the bracket
+            if move * excess <= 0.0:
+                step = p + math.copysign(max(abs(move), 0.5 * POWER_RTOL * p), -excess)
         if lo < step < min(hi, POWER_CAP):
             p = step
         elif hi == math.inf:

@@ -9,13 +9,14 @@ T = x*A*B of degree 5, and it falls where S = N'T - NT' < 0. Every solve
 here is a bracketed Newton iteration in a variable in which its function
 is near linear: ln P, the distance -ln(ln P_r - ln P) to a branch end P_r
 where the marginal rate falls to 0, or psi. Nothing is tabled, no power is
-capped, and the caller evaluates the rates. FixedRho and AdaptiveRho each
-serve one solve: they memoize their responses and start each node's power
-solve from its last one (newton_start).
+capped, and the caller evaluates the rates. An AdaptiveRho, and the state
+of a FixedRho, serve one solve: they memoize their responses and start each
+node's power solve from its last one (newton_start).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Callable
 
@@ -291,9 +292,13 @@ class FixedRho:
     rate - lam*P, or the one of the row it is held on.
     A row's power solve is a Newton iteration in y = ln P or, on a branch
     that ends at a root x_r of N, in the distance v = -ln(y_r - y) to that
-    end (_stationary). An instance serves one solve: each row keeps its
-    response to its last multiplier and its last Newton solve in y, the
-    start of its next (newton_start).
+    end (_stationary).
+    The structure (coefficients, branches and their end values) depends only
+    on (g, d, psi, ch, base) and is read-only once built. The rest is the
+    state of one solve: each row keeps its response to its last multiplier
+    and its last Newton solve in y, the start of its next (newton_start),
+    and a hold restricts the rows powers may pick. fresh() gives another
+    solve its own state over the same structure.
     """
 
     def __init__(self, g, d, psi, n: int, ch: ChannelParams, base: float):
@@ -393,12 +398,22 @@ class FixedRho:
             self._nterms = np.vstack([np.where(self.at_root, 0.0, n0[e]),
                                       np.where(self.at_root, -n0[e] / xr, n1[e]), xr,
                                       np.where(self.at_root, 2.0 * np.log(xr), 0.0)])
+        self._new_solve()
+
+    def _new_solve(self) -> None:
+        rows = self.elem.size
         # each row's multiplier, power and dP/dlam at its last response
-        self._memo = (np.full(e.size, np.nan), np.zeros(e.size), np.zeros(e.size))
+        self._memo = (np.full(rows, np.nan), np.zeros(rows), np.zeros(rows))
         # each row's last Newton solve: multiplier, y = ln P and slope
-        self._last = np.full((3, e.size), np.nan)
+        self._last = np.full((3, rows), np.nan)
         # the rows powers may pick; hold takes an element's other rows out
-        self.pickable = np.ones(e.size, dtype=bool)
+        self.pickable = np.ones(rows, dtype=bool)
+
+    def fresh(self) -> "FixedRho":
+        """A FixedRho over this one's structure, shared, with the state of a new solve."""
+        out = copy.copy(self)
+        out._new_solve()
+        return out
 
     def marginal(self, x, e=None) -> np.ndarray:
         """c*N / (2 x A B), the marginal rate dR/dP at x = sqrt(P), of elements e (all)."""
@@ -441,8 +456,10 @@ class FixedRho:
                 return (np.where(nv > 0.0, np.log(np.maximum(ratio, 0.0)), -np.inf),
                         np.where(e, t, 1.0) * s)
 
+        # a start in y keeps 1e-3 from the branch ends; v has no finite upper
+        # end, so a start in v needs only to lie inside the branch
         margin = np.minimum(1e-3, 0.25 * (yr - yl))
-        y0 = np.clip(y0, yl + margin, yr - margin)
+        y0 = np.where(end & (y0 > yl) & (y0 < yr), y0, np.clip(y0, yl + margin, yr - margin))
         with np.errstate(divide="ignore", invalid="ignore"):
             z0, zl = np.where(end, -np.log(yr - y0), y0), np.where(end, -np.log(yr - yl), yl)
         z = newton(fun, z0, zl, np.where(end, np.inf, yr), 1e-9)

@@ -339,9 +339,9 @@ def test_min_power_reaches_target_where_brent_stops_short():
 
 def test_min_power_answer_is_solved_with_a_miss_just_below(solves):
     # the search stops on two solved budgets: the answer reaches the target,
-    # and a budget at most POWER_RTOL below it misses. Newton steps on the
-    # multiplier lam = dR*/dB take 7 solves on this cold cell, the zero budget
-    # included; bracketing by factors of 4 and Brent's method took 9
+    # and a budget at most POWER_RTOL below it misses. Steps on the multiplier
+    # lam = dR*/dB take 6 solves on this cold cell, the zero budget included;
+    # bracketing by factors of 4 and Brent's method took 9
     R = 0.3
     cold_p = min_power(CH, Rayleigh(), R, CH.Q, nodes=64)
     cold = list(solves)
@@ -357,6 +357,46 @@ def test_min_power_answer_is_solved_with_a_miss_just_below(solves):
         assert any(q >= (1.0 - POWER_RTOL) * p
                    and maximize_rate(CH, Rayleigh(), e, q, nodes=64).rate < R
                    for e, q in seen)
+
+
+@pytest.mark.parametrize("d", [CH.Q, 0.91 * CH.Q])
+def test_min_power_solves_equal_standalone_solves(monkeypatch, d):
+    # min_power's fixed-rho solves share the psi scan's structures; each must
+    # still be maximize_rate at its (d, budget) alone, bit for bit
+    seen = []
+    orig = optimize.maximize_rate
+
+    def spied(ch, fading, e, P_budget, **kw):
+        seen.append(((e, P_budget), orig(ch, fading, e, P_budget, **kw)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(optimize, "maximize_rate", spied)
+    min_power(CH, Rayleigh(), 0.3, d, nodes=64)
+    assert len(seen) >= 4
+    for (e, p), sol in seen:
+        ref = orig(CH, Rayleigh(), e, p, nodes=64)
+        assert repr((sol.rate, sol.lam, sol.policy, sol.warnings)) == \
+            repr((ref.rate, ref.lam, ref.policy, ref.warnings))
+
+
+@pytest.mark.parametrize("mode", optimize.MODES)
+def test_min_power_cold_cell_work(solves, monkeypatch, mode):
+    # Newton steps from the last solve alone took 7 solves here in both
+    # modes, the zero budget included, and every fixed-rho solve built the
+    # psi scan's FixedRho chunks again (12 builds); steps from both solved
+    # bracket ends take 6, and the scan's chunks are built once per call
+    scans = []
+    orig = responses.FixedRho.__init__
+
+    def counted(self, g, d, psi, *a):
+        # a scan chunk holds many psi values, a refinement problem one
+        scans.append(np.unique(psi).size > 1)
+        orig(self, g, d, psi, *a)
+
+    monkeypatch.setattr(responses.FixedRho, "__init__", counted)
+    min_power(CH, Rayleigh(), 0.3, CH.Q, mode=mode, nodes=64)
+    assert len(solves) <= 6
+    assert sum(scans) <= 2
 
 
 def test_min_power_does_not_load_scipy_optimize():
