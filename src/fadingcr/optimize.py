@@ -1,22 +1,26 @@
-"""Ergodic rate maximization and trade-off frontiers.
+"""Ergodic rate maximization, minimum power and trade-off frontiers.
 
 Power allocation across fading states is solved by Lagrangian decomposition
 (Goldsmith & Varaiya, IEEE Trans. IT 1997; Palomar & Fonollosa, IEEE Trans.
 SP 2005). For a multiplier lam every node maximizes rate - lam*P exactly,
 with no power table and no cap (responses.py), and lam is found by a
-safeguarded Newton iteration in ln lam on the average-power budget,
-starting from the mean marginal rate at uniform power; the responses supply
-each node's dP/dlam. The iteration runs on a batch of independent problems
-at once (in fixed-rho mode every (d, psi) of a distortion grid), each with
-its own multiplier bracket and stop test. A primal-recovery step then
-meets each budget exactly: it mixes the responses at the two ends of the
-final multiplier bracket. The weak-duality bound at the final multiplier certifies each
-solve. In fixed-rho mode a node's response can jump across its
-concave-hull segment; a problem whose rate stays more than RECOVERY_GAP
-below its bound is solved again once for each row (a branch or P = 0) of
-each jumping node, with that node held on that row and the others free,
-and the best of these wins. A solve still more than RECOVERY_GAP below its
-bound carries a "duality gap" warning.
+safeguarded Newton iteration in ln lam on one constraint row, starting from
+the mean marginal rate at uniform power; the responses supply each node's
+dP/dlam. maximize_rate meets the average-power budget sum_i w_i P_i <= B.
+min_power meets the rate target sum_i w_i R_i >= R_t: its Lagrangian
+sum_i w_i (P_i - mu R_i) + mu R_t has, with lam = 1/mu, the same per-node
+minimizers, so it is one multiplier search too, followed by one
+maximize_rate at the answer as a check. The iteration runs on a batch of
+independent problems at once (in fixed-rho mode every (d, psi) of a
+distortion grid), each with its own multiplier bracket and stop test. A
+primal-recovery step then meets each row exactly: it mixes the responses at
+the two ends of the final multiplier bracket. The weak-duality bound at the
+final multiplier certifies each solve. In fixed-rho mode a node's response
+can jump across its concave-hull segment; a problem that stays more than
+RECOVERY_GAP from its bound is solved again once for each row (a branch or
+P = 0) of each jumping node, with that node held on that row and the others
+free, and the best of these wins. A solve still more than RECOVERY_GAP
+below its bound carries a "duality gap" warning.
 
 The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
@@ -50,16 +54,15 @@ BUDGET_TOL = 1e-9
 DEFAULT_GRID_POINTS = 50
 DEFAULT_GRID_FLOOR = 1e-3
 
-#: Power cap of the min_power bracketing, and its floor in units of sigma_z2
-#: (rates are invariant under a joint scale of Q, d, sigma_z2 and P).
+#: Largest budget min_power solves.
 POWER_CAP = float(2 ** 16)
-POWER_FLOOR = 1e-12
 
-#: Relative width at which min_power's bracket of solved budgets stops. The
-#: attained rate is rough at ~1e-9 bits near P_min (the inner solver's
-#: tolerances), which is ~3e-9 relative in P; a tolerance below that chases
-#: the roughness, and the number of solves then jumps with ulp-level changes
-#: of the rates.
+#: Twice the least relative step of min_power's budget: from its search's
+#: spend to the first check solve, and from a check that misses its target to
+#: the next. The search meets the target to the last bit, and the check's own
+#: rate is rough near P_min (5e-13 relative in P on Fig. 3's grid, and up to
+#: ~3e-9 from the inner solvers' tolerances): a check at the spend itself
+#: missed in 24 of that grid's 54 cells. A smaller step chases the roughness.
 POWER_RTOL = 1e-8
 
 #: Multiplier bracket floor of the solvers' Newton iterations. The primal
@@ -218,38 +221,47 @@ def _marginal_hint(m: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
-                budget: np.ndarray, hint: tuple[np.ndarray, np.ndarray], floor: float
-                ) -> tuple[_Response, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Safeguarded Newton iteration on the power multipliers of a batch of independent problems.
+                target: np.ndarray, hint: tuple[np.ndarray, np.ndarray], floor: float,
+                rate: bool = False) -> tuple[_Response, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Safeguarded Newton iteration on the multipliers of a batch of independent problems.
 
     respond maps one multiplier per problem to a _Response with one row per
-    problem; budget holds the problems' budgets. hint is a (lo, hi) pair of
-    multiplier vectors near the solutions, from nearby solves or from
-    _marginal_hint; a problem whose hi is not positive takes (0, 1). Each
-    problem starts at the middle of its hint and keeps a bracket of
-    evaluated multipliers: lo, the largest that overspends (at first 0), and
-    hi, the smallest within budget (at first none). The next multiplier is
-    the Newton step on the spent power in u = ln lam, with the slope
-    lam * sum_i w_i dP_i/dlam from the response's dpower: the spent power
-    goes as C/lam, or as a - b ln lam where nodes saturate, so the step is
-    near exact and stays positive from a start far above the root. It is
-    moved at least floor/2 in u toward the root, so that it can cross it. A
-    step outside the open bracket, a slope that is not negative, or a step
-    longer than half the one before it in u (as in Numerical Recipes'
-    rtsafe: a jumping power's slope misleads) falls back to x2 from lo while
-    there is no hi and to the midpoint otherwise.
-    The power may jump and never meet the budget, so each problem stops on
-    its own bracket: narrower than floor relative, or hi below 1e-12 of its
-    hint's hi, where its multiplier counts as 0. A stopped problem is passed
-    its last evaluated multiplier again, and that response is not taken, so
-    a memoizing respond leaves it as it was: each problem sees the same
-    multipliers in any batch. Returns budget-feasible responses, the
-    multipliers and the brackets, which can seed the next solves; _recover
-    spends the slack.
+    problem. Each problem meets one constraint row: its budget, the spent
+    power sum_i w_i P_i <= target, or when rate its rate target
+    sum_i w_i R_i >= target. Both the spent power and the rate fall as lam
+    rises. hint is a (lo, hi) pair of multiplier vectors near the
+    solutions, from nearby solves or from _marginal_hint; a problem whose hi
+    is not positive takes (0, 1). Each problem starts at the middle of its
+    hint and keeps a bracket of evaluated multipliers: lo, the largest at
+    which the row exceeds its target (at first 0; for a rate target, reaches
+    it), and hi, the smallest at which it does not (at first none). The next
+    multiplier is the Newton step on the row in u = ln lam, with the slope
+    lam * sum_i w_i dP_i/dlam of the spent power from the response's dpower,
+    or lam * sum_i w_i R_i' dP_i/dlam of the rate, where R_i' = lam on a
+    branch: the spent power goes as C/lam, or as a - b ln lam where nodes
+    saturate, so the step is near exact and stays positive from a start far
+    above the root. It is moved at least floor/2 in u toward the root, so
+    that it can cross it. A step outside the open bracket, a slope that is
+    not negative, or a step longer than half the one before it in u (as in
+    Numerical Recipes' rtsafe: a jumping power's slope misleads) falls back
+    to x2 from lo while there is no hi and to the midpoint otherwise.
+    The power may jump and never meet the row, so each problem stops on its
+    own bracket: narrower than floor relative, or hi below 1e-12 of its
+    hint's hi, where its multiplier counts as 0. A problem that lam = 0
+    leaves within budget, or whose rate at lam = 0 misses its target, is done
+    at 0. A stopped problem is passed its last evaluated multiplier again,
+    and that response is not taken, so a memoizing respond leaves it as it
+    was: each problem sees the same multipliers in any batch. Returns the
+    feasible responses (at hi for a budget, at lo for a rate target; for an
+    unreachable rate target, at 0), their multipliers and the brackets,
+    which can seed the next solves; _recover meets the rows exactly.
     """
-    zero = np.zeros_like(budget)
+    zero = np.zeros_like(target)
     resp = respond(zero)
-    free = _wsum(resp.power, weights) <= budget * (1.0 + BUDGET_TOL)
+    if rate:
+        free = _wsum(resp.value, weights) < target
+    else:
+        free = _wsum(resp.power, weights) <= target * (1.0 + BUDGET_TOL)
     if free.all():
         return resp, zero, (zero, zero)
 
@@ -257,18 +269,21 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
     cut = 1e-12 * np.where(seeded, hint[1], 1.0)
     # a free problem is done, at its last evaluated multiplier 0
     lam = np.where(free, 0.0, np.where(seeded, 0.5 * (hint[0] + hint[1]), 0.5))
-    lo, hi, last, done = zero, np.where(free, 0.0, np.inf), np.full_like(budget, np.inf), free
+    lo, hi, last, done = zero, np.where(free, 0.0, np.inf), np.full_like(target, np.inf), free
     for _ in range(200):
         r = respond(lam)
-        excess = _wsum(r.power, weights) - budget
-        take = ~done & (excess <= 0.0)
-        resp = _take(r, resp, take)
-        lo, hi = np.where(done | take, lo, lam), np.where(take, lam, hi)
+        excess = _wsum(r.value if rate else r.power, weights) - target
+        # lam lies below the root: the row still exceeds its target
+        below = excess >= 0.0 if rate else excess > 0.0
+        resp = _take(r, resp, ~done & (below if rate else ~below))
+        lo, hi = np.where(done | ~below, lo, lam), np.where(done | below, hi, lam)
         # the slope of the excess in u = ln lam
         slope = lam * _wsum(r.dpower, weights)
+        if rate:
+            slope = lam * slope
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = np.abs(excess / slope)
-            up = np.where(excess > 0.0, 1.0, -1.0)
+            up = np.where(below, 1.0, -1.0)
             step = lam * np.exp(up * np.maximum(newton, 0.5 * floor))
             ok = (slope < 0.0) & (newton <= 0.5 * last) & (lo < step) & (step < hi)
             nxt = np.where(ok, step, np.where(hi == np.inf, 2.0 * lo, 0.5 * (lo + hi)))
@@ -277,41 +292,114 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
         if done.all():
             break
         lam = np.where(done, lam, nxt)
-    return resp, hi, (lo, hi)
+    return resp, lo if rate else hi, (lo, hi)
 
 
-def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, budget: np.ndarray,
-             resp: _Response, lo: np.ndarray, hi: np.ndarray) -> tuple[_Response, np.ndarray]:
-    """Primal recovery: meet each problem's budget exactly after _dual_solve.
+def _illinois(fun: Callable, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+              active: np.ndarray, tol: float) -> None:
+    """Illinois regula falsi on a batch of brackets [a, b], in place.
 
-    resp is the response at hi, within budget; the one at lo exceeds it. The
-    mixture of the two powers that spends the budget moves the continuous
-    nodes across the bracket's width, and gives a node that jumps across its
-    concave-hull segment the power that closes the budget. rebuild maps
-    powers to a _Response. By weak duality (Yu & Lui, IEEE Trans. Commun.
-    2006) the Lagrangian at hi, sum_i w_i (R_i - hi P_i) + hi B over resp,
-    bounds every rate within the budget B. Returns the responses and each
-    problem's certified gap, the bound minus the rate.
+    fun(i, x) returns the values of problems i at x. Each active problem has
+    values fa and fb of opposite signs at its ends, and x replaces the end
+    whose value has the sign of x's; an end kept twice in a row has its
+    value halved. A problem stops once its bracket is within tol or its
+    value is 0, after at most 60 steps.
     """
-    bound = _wsum(resp.value - hi[:, None] * resp.power, weights) + hi * budget
-    spent = _wsum(resp.power, weights)
-    rows = (lo > 0.0) & (spent < budget)
-    if rows.any():
-        over = respond(np.where(rows, lo, hi))
-        extra = _wsum(over.power, weights) - spent
-        t = np.where(rows & (extra > 0.0), (budget - spent) / np.where(extra > 0.0, extra, 1.0),
-                     0.0)
-        cand = rebuild(resp.power + np.minimum(t, 1.0)[:, None] * (over.power - resp.power))
-        resp = _take(cand, resp, rows & (_wsum(cand.value, weights) >= _wsum(resp.value, weights)))
-    return resp, bound - _wsum(resp.value, weights)
+    side = np.zeros(a.size)
+    for _ in range(60):
+        if not active.any():
+            break
+        i = np.flatnonzero(active)
+        x = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
+        fx = fun(i, x)
+        pos = np.where(fa[i] > 0.0, fx > 0.0, fx < 0.0)
+        fb[i] = np.where(pos & (side[i] > 0), 0.5 * fb[i], fb[i])
+        fa[i] = np.where(~pos & (side[i] < 0), 0.5 * fa[i], fa[i])
+        a[i], fa[i] = np.where(pos, x, a[i]), np.where(pos, fx, fa[i])
+        b[i], fb[i] = np.where(pos, b[i], x), np.where(pos, fb[i], fx)
+        side[i] = np.where(pos, 1.0, -1.0)
+        active[i] = (b[i] - a[i] > tol) & (fx != 0.0)
+
+
+def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, target: np.ndarray,
+             resp: _Response, lo: np.ndarray, hi: np.ndarray, rate: bool = False
+             ) -> tuple[_Response, np.ndarray]:
+    """Primal recovery: meet each problem's constraint row exactly after _dual_solve.
+
+    For a budget, resp is the response at hi, within budget, and the one at
+    lo exceeds it. The mixture of the two powers that spends the budget moves
+    the continuous nodes across the bracket's width, and gives a node that
+    jumps across its concave-hull segment the power that closes the budget.
+    For a rate target, resp is the response at lo, which reaches it, and the
+    one at hi misses it. The rate of their mixture is not linear in its
+    weight t, so t solves rate(t) = target by an Illinois regula falsi on
+    [0, 1], and the mixture at the end of its bracket that reaches the
+    target is kept. rebuild maps powers to a _Response. By weak duality
+    (Yu & Lui, IEEE Trans. Commun. 2006) the Lagrangian at resp's multiplier
+    m, L = sum_i w_i (R_i - m P_i) + m B over resp, bounds every rate within
+    the budget B, and (L - target) / m bounds from below the spend of every
+    allocation that reaches a rate target. Returns the responses and each
+    problem's certified gap in rate units: L at the budget minus the rate,
+    or for a rate target L at the recovered spend minus the target.
+    """
+    m = lo if rate else hi
+    # an unreachable rate target leaves m = 0 and powers that may be inf
+    with np.errstate(invalid="ignore"):
+        lagr = _wsum(resp.value - m[:, None] * resp.power, weights)
+    if not rate:
+        bound = lagr + hi * target
+        spent = _wsum(resp.power, weights)
+        rows = (lo > 0.0) & (spent < target)
+        if rows.any():
+            over = respond(np.where(rows, lo, hi))
+            extra = _wsum(over.power, weights) - spent
+            t = np.where(rows & (extra > 0.0),
+                         (target - spent) / np.where(extra > 0.0, extra, 1.0), 0.0)
+            cand = rebuild(resp.power + np.minimum(t, 1.0)[:, None] * (over.power - resp.power))
+            resp = _take(cand, resp, rows & (_wsum(cand.value, weights)
+                                             >= _wsum(resp.value, weights)))
+        return resp, bound - _wsum(resp.value, weights)
+
+    fb = _wsum(resp.value, weights) - target
+    act = (lo > 0.0) & (hi < np.inf) & (fb > 0.0)
+    if act.any():
+        short = respond(np.where(act, hi, lo))
+        fa = _wsum(short.value, weights) - target
+        # the mixture base + t step misses the target at t = 0 and reaches it at
+        # t = 1; the other problems keep resp, whose powers may be inf
+        base = np.where(act[:, None], short.power, resp.power)
+        with np.errstate(invalid="ignore"):
+            step = np.where(act[:, None], resp.power - short.power, 0.0)
+
+        def at(i, t):
+            nonlocal resp
+            x = np.zeros_like(lo)
+            x[i] = t
+            cand = rebuild(base + x[:, None] * step)
+            fc = _wsum(cand.value, weights) - target
+            # keep a mixture that reaches the target with less power
+            keep = np.zeros(lo.size, dtype=bool)
+            keep[i] = True
+            resp = _take(cand, resp, keep & (fc >= 0.0) & (_wsum(cand.power, weights)
+                                                             <= _wsum(resp.power, weights)))
+            return fc[i]
+
+        _illinois(at, np.zeros_like(lo), np.ones_like(lo), fa, fb, act & (fa < 0.0), 1e-14)
+    with np.errstate(invalid="ignore"):
+        return resp, lagr + m * _wsum(resp.power, weights) - target
 
 
 def _fixed_response(nodes: FixedRho, P: np.ndarray) -> _Response:
-    """The response, one row per problem, of nodes at their shared rho and powers P."""
+    """The response, one row per problem, of nodes at their shared rho and powers P; an
+    unbounded power (lam = 0) has the rate's limit."""
     P = np.asarray(P, dtype=float).reshape(-1)
     fin = np.isfinite(P)
-    value = np.where(fin, _rates(nodes.g, np.where(fin, P, 0.0), nodes.rho1, nodes.rho2,
-                                 nodes.d, nodes.ch, nodes.base), np.inf)
+    value = _rates(nodes.g, np.where(fin, P, 0.0), nodes.rho1, nodes.rho2, nodes.d, nodes.ch,
+                   nodes.base)
+    if not fin.all():
+        # the kernel's 0.5 log(d A / (Q B)) tends to c ln(a2 / b2) + c ln(d / Q)
+        d = nodes.d[~fin]
+        value[~fin] = nodes.top(np.flatnonzero(~fin)) + nodes.c * np.log(d / (nodes.ch.Q - d + d))
     return _Response(*(z.reshape(-1, nodes.n) for z in (value, P, nodes.rho1, nodes.rho2)))
 
 
@@ -324,26 +412,30 @@ def _arc_response(nodes: AdaptiveRho, P: np.ndarray, psi: np.ndarray) -> _Respon
     return _Response(value[None], P[None], r1[None], r2[None])
 
 
-def _solve_fixed(g, w, ds, budget, ch, base, scan=None):
+def _solve_fixed(g, w, ds, target, ch, base, start=None):
     """Shared-(rho1, rho2) mode for every distortion in ds at once.
 
-    Per distortion: a 49-point rho2 scan, then an Illinois regula-falsi
-    search for dV/dpsi = 0 between the scan's argmax and the neighbour
-    across which the slope changes sign. dV/dpsi is the envelope derivative
-    sum_i w_i dR_i/dpsi at the recovered powers. Every stage is one batched
-    multiplier search (_dual_solve) plus primal recovery over its
-    independent (d, psi) problems, CHUNK_ROWS (problem, node) rows at a
-    time. A refinement problem whose certified gap exceeds RECOVERY_GAP is
-    solved again once for each row of each node whose chosen row differs at
-    the bracket's ends, with that node held on that row (FixedRho.hold) and
-    the others free; the best solve wins, and its gap is the first solve's
-    bound minus its rate. Returns the responses (one row per distortion),
-    the multipliers and the certified duality gaps.
-    The scan's FixedRho structures do not depend on the budget. scan, when
-    given, is a list that keeps them for later solves of the same g and ds:
-    the chunks it lacks are built and added, and each solve runs on a
-    fresh() state over them.
+    Each (d, psi) problem meets one constraint row (_dual_solve): the budget
+    target or, when start is given, the rate target at the least spent
+    power, with the multiplier search started from the marginal rates at
+    the budget start. A problem's score is its rate within the budget, or
+    minus its spent power where it reaches the rate target (-inf elsewhere).
+    Per distortion: a 49-point rho2 scan ranked by score, then an Illinois
+    regula-falsi search for dV/dpsi = 0 between the scan's best and the
+    neighbour across which the slope changes sign. dV/dpsi is the envelope
+    derivative sum_i w_i dR_i/dpsi at the recovered powers; for a rate
+    target the spent power has the envelope derivative -dV/dpsi / lam, so
+    the same search serves. Every stage is one batched multiplier search
+    plus primal recovery over its independent (d, psi) problems, CHUNK_ROWS
+    (problem, node) rows at a time. A refinement problem whose certified gap
+    exceeds RECOVERY_GAP is solved again once for each row of each node
+    whose chosen row differs at the bracket's ends, with that node held on
+    that row (FixedRho.hold) and the others free; the best score wins, and
+    its gap is the first solve's bound minus its score (in rate units).
+    Returns the responses (one row per distortion), the multipliers and the
+    certified duality gaps.
     """
+    rate, start = start is not None, target if start is None else start
     psi_grid = np.arcsin(np.linspace(-1.0, 1.0, 49))
     k = psi_grid.size
     step = max(1, CHUNK_ROWS // g.size)
@@ -353,64 +445,67 @@ def _solve_fixed(g, w, ds, budget, ch, base, scan=None):
         return FixedRho(np.tile(g, d.size), np.repeat(d, g.size), np.repeat(psi, g.size),
                         g.size, ch, base)
 
+    def score(r):
+        value, spent = _wsum(r.value, w), _wsum(r.power, w)
+        if rate:
+            return np.where(value >= target, -spent, -np.inf)
+        return np.where(spent <= target * (1.0 + BUDGET_TOL), value, -np.inf)
+
     def recovered(nodes, hint, floor):
         """_dual_solve and _recover over the problems of nodes: the responses,
         multipliers, brackets and certified gaps."""
-        budgets = np.full(nodes.g.size // g.size, budget)
+        targets = np.full(nodes.g.size // g.size, target)
 
         def respond(lam):
             P, _, dP = nodes.powers(lam)
             return dataclasses.replace(_fixed_response(nodes, P), dpower=dP.reshape(-1, g.size))
 
-        resp, lam, (lo, hi) = _dual_solve(respond, w, budgets, hint, floor)
-        return (*_recover(respond, lambda P: _fixed_response(nodes, P), w, budgets, resp, lo, hi),
-                lam, lo, hi)
+        resp, lam, (lo, hi) = _dual_solve(respond, w, targets, hint, floor, rate)
+        return (*_recover(respond, lambda P: _fixed_response(nodes, P), w, targets, resp, lo, hi,
+                          rate), lam, lo, hi)
 
-    def chunk(nodes, d, psi, floor, hint, keep):
-        """One chunk of solve, over nodes = problems(d, psi). Its solve state is
-        freed before the next chunk's is made, and so is its structure unless
-        scan keeps it."""
+    def chunk(d, psi, floor, hint, keep):
+        """One chunk of solve, over problems (d, psi). Its FixedRho is freed
+        before the next chunk's is made."""
+        nodes = problems(d, psi)
         if hint is None:
-            hint = _marginal_hint(nodes.marginal(math.sqrt(budget)).reshape(-1, g.size), w)
+            hint = _marginal_hint(nodes.marginal(math.sqrt(start)).reshape(-1, g.size), w)
         resp, gap, lam, lo, hi = recovered(nodes, hint, floor)
-        rate = _wsum(resp.value, w)
+        best = score(resp)
         # the scan only ranks, so its gaps get no held re-solves
         redo = keep & (lo > 0.0) & (gap > RECOVERY_GAP)
         if redo.any():
             # every row of each node whose chosen row differs at lo and hi, save
-            # those whose lowest power alone spends the budget
+            # those whose lowest power alone spends the budget (or the spend to beat)
             jump = nodes.powers(np.where(redo, lo, hi))[1] != nodes.powers(hi)[1]
             row = np.flatnonzero(jump[nodes.elem])
-            row = row[w[nodes.elem[row] % g.size] * nodes.xl[row] ** 2 < budget]
-            e, bound = nodes.elem[row], gap + rate
+            cap = _wsum(resp.power, w) if rate else np.full(lo.size, target)
+            row = row[w[nodes.elem[row] % g.size] * nodes.xl[row] ** 2
+                      < cap[nodes.elem[row] // g.size]]
+            # a gap in rate units: the score's, times lam for a spent power
+            unit = lam if rate else np.ones_like(lam)
+            e, bound = nodes.elem[row], gap + unit * best
             for c in (slice(s, s + step) for s in range(0, row.size, step)):
                 p = e[c] // g.size
                 held = problems(d[p], psi[p])
                 held.hold(np.arange(p.size) * g.size + e[c] % g.size, row[c] - nodes.start[e[c]])
                 r = recovered(held, (lo[p], hi[p]), floor)[0]
-                v = np.where(_wsum(r.power, w) <= budget * (1.0 + BUDGET_TOL), _wsum(r.value, w),
-                             -np.inf)
+                v = score(r)
                 for i, q in enumerate(p):
-                    if v[i] > rate[q]:
-                        rate[q], gap[q] = v[i], bound[q] - v[i]
+                    if v[i] > best[q]:
+                        best[q], gap[q] = v[i], bound[q] - unit[q] * v[i]
                         resp.value[q], resp.power[q] = r.value[i], r.power[i]
-        return (rate, _wsum(nodes.slope(resp.power), w), lo * 0.997, hi * 1.003, lam,
+        # an unreachable rate target can leave unbounded powers, whose slope is moot
+        P = np.where(np.isfinite(resp.power), resp.power, 0.0)
+        return (best, _wsum(nodes.slope(P), w), lo * 0.997, hi * 1.003, lam,
                 gap) + ((resp,) if keep else ())
 
-    def solve(d, psi, floor, hint=None, keep=False, built=None):
-        """Recovered solves of problems (d, psi): rates, slopes dV/dpsi, widened
-        brackets, multipliers, gaps and, when keep, the responses. built, when
-        given, keeps the chunks' structures (scan)."""
-        def nodes(j, c):
-            if built is None:
-                return problems(d[c], psi[c])
-            if j == len(built):
-                built.append(problems(d[c], psi[c]))
-            return built[j].fresh()
-
-        out = [chunk(nodes(j, c), d[c], psi[c], floor,
-                     None if hint is None else (hint[0][c], hint[1][c]), keep)
-               for j, c in enumerate(slice(s, s + step) for s in range(0, d.size, step))]
+    def solve(d, psi, floor, hint=None, keep=False):
+        """Recovered solves of problems (d, psi): scores, slopes dV/dpsi, widened
+        brackets, multipliers, gaps and, when keep, the responses."""
+        out = [chunk(d[c], psi[c], floor, None if hint is None else (hint[0][c], hint[1][c]),
+                     keep)
+               for c in (slice(s, s + step) for s in range(0, d.size, step))]
         cat = [np.concatenate(z) for z in list(zip(*out))[:6]]
         if keep:
             cat.append(_Response(*(np.concatenate([getattr(o[6], f) for o in out])
@@ -419,8 +514,7 @@ def _solve_fixed(g, w, ds, budget, ch, base, scan=None):
 
     # the scan ranks the grid's psi values: after the recovery a bracket floor
     # of 1e-3 leaves its rates off by O(1e-6 lam B)
-    coarse, c_slope, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3,
-                                              built=scan)
+    coarse, c_slope, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3)
     row = np.arange(ds.size) * k
     basin = np.argmax(coarse.reshape(ds.size, k), axis=1)
     best_v, f0, h_lo, h_hi, lam, gap, resp = solve(
@@ -433,13 +527,8 @@ def _solve_fixed(g, w, ds, budget, ch, base, scan=None):
     a, b = np.where(right, psi_grid[basin], psi_grid[nb]), np.where(right, psi_grid[nb],
                                                                      psi_grid[basin])
     fa, fb = np.where(right, f0, f_nb), np.where(right, f_nb, f0)
-    active = (fa > 0.0) & (fb < 0.0)
-    side = np.zeros(ds.size)
-    for _ in range(60):
-        if not active.any():
-            break
-        i = np.flatnonzero(active)
-        x = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
+
+    def at(i, x):
         v, fx, h_lo[i], h_hi[i], lm, gp, r = solve(ds[i], x, RECOVERY_FLOOR,
                                                    (h_lo[i], h_hi[i]), True)
         up = v > best_v[i]
@@ -448,42 +537,38 @@ def _solve_fixed(g, w, ds, budget, ch, base, scan=None):
         gap[i] = np.where(up, gp, gap[i])
         for f in ("value", "power", "rho1", "rho2"):
             getattr(resp, f)[i] = np.where(up[:, None], getattr(r, f), getattr(resp, f)[i])
-        # Illinois: halve the value at an end that is kept twice in a row
-        pos = fx > 0.0
-        fb[i] = np.where(pos & (side[i] > 0), 0.5 * fb[i], fb[i])
-        fa[i] = np.where(~pos & (side[i] < 0), 0.5 * fa[i], fa[i])
-        a[i], fa[i] = np.where(pos, x, a[i]), np.where(pos, fx, fa[i])
-        b[i], fb[i] = np.where(pos, b[i], x), np.where(pos, fb[i], fx)
-        side[i] = np.where(pos, 1.0, -1.0)
-        active[i] = (b[i] - a[i] > PSI_TOL) & (fx != 0.0)
+        return fx
+
+    _illinois(at, a, b, fa, fb, (fa > 0.0) & (fb < 0.0), PSI_TOL)
     return resp, lam, gap
 
 
-def _solve_adaptive(g, w, d, budget, ch, base):
+def _solve_adaptive(g, w, d, target, ch, base, start=None):
     """Per-node (rho1, rho2, P) mode: exact responses to each multiplier, then recovery.
 
-    One AdaptiveRho lives for the solve, so each response starts from the
-    previous ones and no result depends on an earlier solve.
+    The constraint row is the budget target or, when start is given, the
+    rate target, as in _solve_fixed. One AdaptiveRho lives for the solve, so
+    each response starts from the previous ones and no result depends on an
+    earlier solve.
     """
-    budgets = np.array([budget])
+    rate, start = start is not None, target if start is None else start
+    targets = np.array([target])
     nodes = AdaptiveRho(g, d, ch, base)
 
     def respond(lam):
         P, psi, dP = nodes.powers(float(lam[0]))
         return dataclasses.replace(_arc_response(nodes, P, psi), dpower=dP[None])
 
-    hint = _marginal_hint(arc_marginal(g, math.sqrt(budget), d, ch, base)[None], w)
-    resp, lam, (lo, hi) = _dual_solve(respond, w, budgets, hint, RECOVERY_FLOOR)
+    hint = _marginal_hint(arc_marginal(g, math.sqrt(start), d, ch, base)[None], w)
+    resp, lam, (lo, hi) = _dual_solve(respond, w, targets, hint, RECOVERY_FLOOR, rate)
     resp, gap = _recover(respond, lambda P: _arc_response(nodes, P[0], nodes.psi(P[0])), w,
-                         budgets, resp, lo, hi)
+                         targets, resp, lo, hi, rate)
     return resp, lam, gap
 
 
 def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
-                P_budget: float, mode: str, nodes: int, base: float,
-                scan: list | None = None) -> list[RateSolution]:
-    """maximize_rate at each distortion of ds; fixed-rho solves them as one batch, and
-    keeps its psi scan's structures in scan when given (_solve_fixed)."""
+                P_budget: float, mode: str, nodes: int, base: float) -> list[RateSolution]:
+    """maximize_rate at each distortion of ds; fixed-rho solves them as one batch."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")
     ch.validate()
@@ -513,7 +598,7 @@ def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
         return out
 
     if mode == "fixed-rho":
-        resp, lam, gap = _solve_fixed(g, w, np.array(ds, dtype=float), P_budget, ch, base, scan)
+        resp, lam, gap = _solve_fixed(g, w, np.array(ds, dtype=float), P_budget, ch, base)
         solved = [(resp, b, lam[b], gap[b]) for b in range(len(ds))]
     else:
         solved = []
@@ -542,11 +627,9 @@ def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
 
 
 def maximize_rate(ch: ChannelParams, fading: FadingModel, d: float, P_budget: float,
-                  mode: str = "fixed-rho", nodes: int = 64,
-                  base: float = 2.0, *, _scan: list | None = None) -> RateSolution:
+                  mode: str = "fixed-rho", nodes: int = 64, base: float = 2.0) -> RateSolution:
     """Maximize the expected rate at distortion parameter d under E_G[P(G)] <= P_budget."""
-    # _scan is min_power's: the psi scan's structures, shared by its solves at one d
-    return _solve_grid(ch, fading, [d], P_budget, mode, nodes, base, _scan)[0]
+    return _solve_grid(ch, fading, [d], P_budget, mode, nodes, base)[0]
 
 
 def concave_envelope(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -612,96 +695,67 @@ def rd_frontier(ch: ChannelParams, fading: FadingModel, P_budget: float,
     return Frontier(points=tuple(p for p in raw if p.D in env_d))
 
 
-def _hermite_budget(R: float, lo: tuple[float, float, float],
-                    hi: tuple[float, float, float]) -> float:
-    """The cubic Hermite interpolant of the budget B(R) at rate R, from the solved ends
-    lo and hi, each (B, R*(B), lam), where dB/dR = 1 / lam."""
-    (b0, r0, l0), (b1, r1, l1) = lo, hi
-    h = r1 - r0
-    t = (R - r0) / h
-    return (b0 * (1.0 + 2.0 * t) * (1.0 - t) ** 2 + h / l0 * t * (1.0 - t) ** 2
-            + b1 * t * t * (3.0 - 2.0 * t) - h / l1 * t * t * (1.0 - t))
-
-
 def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target: float,
               mode: str = "fixed-rho", nodes: int = 64, base: float = 2.0,
               warm_lo: float | None = None) -> float:
     """Smallest average budget attaining rate >= R_target at distortion parameter d = D_target.
 
-    Every solve is maximize_rate at d = D_target. The search starts at
-    warm_lo, a lower bound from a neighbouring cell that is returned at once
-    if it reaches the target, or else at the noise power sigma_z2, the
+    The problem min E[P] s.t. E[R] >= R_target has the Lagrangian
+    sum_i w_i (P_i - mu R_i) + mu R_target. With lam = 1/mu each node's
+    minimizer is its best response to lam, as in maximize_rate, so one
+    multiplier search on the rate row (_dual_solve) and its recovery give
+    the least spend B* that reaches R_target at d = D_target; in fixed-rho
+    mode the psi scan ranks by spent power. The search starts from the
+    marginal rates at warm_lo or else at the noise power sigma_z2, the
     natural unit of P (rates are invariant under a joint scale of Q, d,
-    sigma_z2 and P). The solved budgets bracket the answer: lo is the
-    largest that misses the target (at first the zero budget) and hi the
-    smallest that reaches it. Each solve's multiplier lam is the slope
-    dR*/dB. While lo or hi is not a positive budget solved with lam > 0, the
-    next budget is the Newton step from the last solve; once both are, it is
-    the inverse cubic Hermite interpolant of B(R) through both ends, with
-    slopes 1/lam, at R_target. A step moves at least POWER_RTOL/2 relative
-    toward the target. A step outside the open bracket, or lam = 0, falls
-    back to x4 from lo while hi is unknown (capped at POWER_CAP), /4 from hi
-    while lo = 0 (floored at POWER_FLOOR * sigma_z2), and the midpoint
-    otherwise. Returns hi once hi - lo <= POWER_RTOL * hi or hi <=
-    POWER_FLOOR * sigma_z2, so maximize_rate at the answer reaches the
-    target.
-    Each budget is solved at most once, and none above POWER_CAP; raises
-    UnreachableError when POWER_CAP misses. The fixed-rho psi scan's
-    FixedRho structures do not depend on the budget: the first solve builds
-    them, the later ones reuse them with their own solve state, and they are
-    dropped on return. Every solve equals maximize_rate at its budget.
+    sigma_z2 and P). warm_lo is a lower bound from a neighbouring cell: it
+    is solved first and returned at once if it reaches the target.
+    A check solve, maximize_rate at B* (1 + POWER_RTOL/2), keeps the
+    contract that maximize_rate at the returned budget reaches R_target: on
+    a miss the budget steps up by max((R_target - rate) / lam,
+    POWER_RTOL/2 * budget), with the check's lam = dR*/dB, and is checked
+    again. No budget above POWER_CAP is solved; raises UnreachableError when
+    POWER_CAP misses.
     """
     if R_target < 0:
         raise ConfigError("R_target must be nonnegative")
     if not (ch.d_min <= D_target <= ch.Q):
         raise ConfigError(f"D_target={D_target} outside ({ch.d_min:g}, {ch.Q}]")
-
-    # the fixed-rho psi scan's structures at D_target, built by the first solve
-    scan: list = []
+    # an integer target would give the solver integer arrays
+    R_target = float(R_target)
 
     def solve(p: float) -> RateSolution:
-        return maximize_rate(ch, fading, D_target, p, mode=mode, nodes=nodes, base=base,
-                             _scan=scan)
+        return maximize_rate(ch, fading, D_target, p, mode=mode, nodes=nodes, base=base)
 
     if solve(0.0).rate >= R_target:
         return 0.0
-    warm, floor = max(warm_lo or 0.0, 0.0), POWER_FLOOR * ch.sigma_z2
-    lo, hi, p = 0.0, math.inf, float(warm or min(ch.sigma_z2, POWER_CAP))
-    # (rate, lam) at lo and hi; lam = 0 until a positive budget is solved there
-    at_lo = at_hi = (0.0, 0.0)
+    warm = min(max(warm_lo or 0.0, 0.0), POWER_CAP)
+    if warm > 0.0 and solve(warm).rate >= R_target:
+        return warm
+
+    rule = make_rule(fading, nodes)
+    g, w = np.array(rule.nodes), np.array(rule.weights)
+    start = min(warm or ch.sigma_z2, POWER_CAP)
+    if mode == "fixed-rho":
+        resp, lam, _ = _solve_fixed(g, w, np.array([D_target], dtype=float), R_target, ch, base,
+                                    start)
+    else:
+        resp, lam, _ = _solve_adaptive(g, w, D_target, R_target, ch, base, start)
+    p = math.inf
+    if _wsum(resp.value, w)[0] >= R_target:
+        p = float(w @ resp.power[0]) * (1.0 + 0.5 * POWER_RTOL)
     while True:
+        p = min(p, POWER_CAP)
         sol = solve(p)
-        excess = sol.rate - R_target
-        if excess >= 0.0:
-            if p == warm:
-                return p
-            hi, at_hi = p, (sol.rate, sol.lam)
-        elif p >= POWER_CAP:
+        if sol.rate >= R_target:
+            return p
+        if p >= POWER_CAP:
             raise UnreachableError(
                 f"rate {R_target} at distortion {D_target} unreachable below budget {POWER_CAP:g}")
-        else:
-            lo, at_lo = p, (sol.rate, sol.lam)
-        if hi * (1.0 - POWER_RTOL) <= lo or hi <= floor:
-            return hi
-        # Newton on a concave R* lands below the root from either side, so a
-        # step moves at least POWER_RTOL / 2 relative toward the root and one
-        # can cross it; lam = 0 gives no step, and lo lies outside the bracket
-        step = lo
-        if sol.lam > 0.0:
-            move = -excess / sol.lam
-            if at_lo[1] > 0.0 and at_hi[1] > 0.0:
-                move = _hermite_budget(R_target, (lo, *at_lo), (hi, *at_hi)) - p
-            # a move away from the target leaves the bracket
-            if move * excess <= 0.0:
-                step = p + math.copysign(max(abs(move), 0.5 * POWER_RTOL * p), -excess)
-        if lo < step < min(hi, POWER_CAP):
-            p = step
-        elif hi == math.inf:
-            p = min(4.0 * lo, POWER_CAP)
-        elif lo == 0.0:
-            p = max(hi / 4.0, floor)
-        else:
-            p = 0.5 * (lo + hi)
+        # the check's slope dR*/dB, or the search's where the check has none
+        slope = sol.lam or float(lam[0])
+        p += max((R_target - sol.rate) / slope if slope > 0.0 else math.inf,
+                 0.5 * POWER_RTOL * p)
 
 
 def power_distortion_curve(ch: ChannelParams, fading: FadingModel,

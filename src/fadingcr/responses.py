@@ -16,7 +16,6 @@ node's power solve from its last one (newton_start).
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Callable
 
@@ -297,8 +296,7 @@ class FixedRho:
     on (g, d, psi, ch, base) and is read-only once built. The rest is the
     state of one solve: each row keeps its response to its last multiplier
     and its last Newton solve in y, the start of its next (newton_start),
-    and a hold restricts the rows powers may pick. fresh() gives another
-    solve its own state over the same structure.
+    and a hold restricts the rows powers may pick.
     """
 
     def __init__(self, g, d, psi, n: int, ch: ChannelParams, base: float):
@@ -398,9 +396,7 @@ class FixedRho:
             self._nterms = np.vstack([np.where(self.at_root, 0.0, n0[e]),
                                       np.where(self.at_root, -n0[e] / xr, n1[e]), xr,
                                       np.where(self.at_root, 2.0 * np.log(xr), 0.0)])
-        self._new_solve()
 
-    def _new_solve(self) -> None:
         rows = self.elem.size
         # each row's multiplier, power and dP/dlam at its last response
         self._memo = (np.full(rows, np.nan), np.zeros(rows), np.zeros(rows))
@@ -408,12 +404,6 @@ class FixedRho:
         self._last = np.full((3, rows), np.nan)
         # the rows powers may pick; hold takes an element's other rows out
         self.pickable = np.ones(rows, dtype=bool)
-
-    def fresh(self) -> "FixedRho":
-        """A FixedRho over this one's structure, shared, with the state of a new solve."""
-        out = copy.copy(self)
-        out._new_solve()
-        return out
 
     def marginal(self, x, e=None) -> np.ndarray:
         """c*N / (2 x A B), the marginal rate dR/dP at x = sqrt(P), of elements e (all)."""
@@ -501,11 +491,20 @@ class FixedRho:
         _, _, _, a0, a1, a2, b0, b1, b2 = self.coef[:, e]
         score = np.where(fin, self.c * np.log((a0 + x * (a1 + x * a2)) / (b0 + x * (b1 + x * b2)))
                          - lr * np.where(fin, P, 0.0), np.inf)
+        if not fin.all():
+            # an unbounded power (lam = 0) scores its limit
+            score[~fin] = self.top(e[~fin])
         score[~self.pickable] = -np.inf
         best = np.maximum.reduceat(score, self.start)[np.repeat(
             np.arange(self.start.size), np.diff(np.r_[self.start, e.size]))]
         pick = np.minimum.reduceat(np.where(score == best, np.arange(e.size), e.size), self.start)
         return P[pick], pick, dP[pick]
+
+    def top(self, e: np.ndarray) -> np.ndarray:
+        """The limit c*ln(a2 / b2) of c*ln(A/B) as P grows, of elements e with g > 0; +inf
+        where rho1^2 = 1."""
+        with np.errstate(divide="ignore"):
+            return self.c * np.log(self.coef[5, e] / self.coef[8, e])
 
     def slope(self, P: np.ndarray) -> np.ndarray:
         """dR/dpsi of every element at powers P, shaped like P."""

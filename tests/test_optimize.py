@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fadingcr import optimize, responses
 from fadingcr.model import (ChannelParams, CodingParams, ConfigError, Degenerate, Discrete,
@@ -338,31 +340,22 @@ def test_min_power_reaches_target_where_brent_stops_short():
 
 
 def test_min_power_answer_is_solved_with_a_miss_just_below(solves):
-    # the search stops on two solved budgets: the answer reaches the target,
-    # and a budget at most POWER_RTOL below it misses. Steps on the multiplier
-    # lam = dR*/dB take 6 solves on this cold cell, the zero budget included;
-    # bracketing by factors of 4 and Brent's method took 9
+    # the answer is a solved budget that reaches the target, and a standalone
+    # solve 1e-7 below it misses: the rate-row search's spend plus the check's
+    # POWER_RTOL/2 margin lies within the attained rate's roughness of P_min
     R = 0.3
-    cold_p = min_power(CH, Rayleigh(), R, CH.Q, nodes=64)
-    cold = list(solves)
-    assert len(cold) < 9
-    solves.clear()
-    # the D = 0.91 Q cell starts from the D = Q answer as a warm lower bound,
-    # and that cell's solves hold its miss
-    d_warm = 0.91 * CH.Q
-    curve = power_distortion_curve(CH, Rayleigh(), [R], [d_warm, CH.Q], nodes=64)
-    for d, p, seen in ((CH.Q, cold_p, cold), (d_warm, curve[(R, d_warm)], list(solves))):
-        assert (d, p) in seen
-        assert maximize_rate(CH, Rayleigh(), d, p, nodes=64).rate >= R
-        assert any(q >= (1.0 - POWER_RTOL) * p
-                   and maximize_rate(CH, Rayleigh(), e, q, nodes=64).rate < R
-                   for e, q in seen)
+    for mode, d in (("fixed-rho", CH.Q), ("fixed-rho", 0.91 * CH.Q), ("adaptive-rho", CH.Q)):
+        p = min_power(CH, Rayleigh(), R, d, mode=mode, nodes=64)
+        assert solves[-1] == (d, p)
+        assert maximize_rate(CH, Rayleigh(), d, p, mode=mode, nodes=64).rate >= R
+        assert maximize_rate(CH, Rayleigh(), d, (1.0 - 1e-7) * p, mode=mode, nodes=64).rate < R
 
 
 @pytest.mark.parametrize("d", [CH.Q, 0.91 * CH.Q])
 def test_min_power_solves_equal_standalone_solves(monkeypatch, d):
-    # min_power's fixed-rho solves share the psi scan's structures; each must
-    # still be maximize_rate at its (d, budget) alone, bit for bit
+    # min_power's check solves go through maximize_rate itself: each equals a
+    # standalone maximize_rate at its (d, budget), bit for bit, and the last
+    # one is at the returned budget
     seen = []
     orig = optimize.maximize_rate
 
@@ -371,32 +364,27 @@ def test_min_power_solves_equal_standalone_solves(monkeypatch, d):
         return seen[-1][1]
 
     monkeypatch.setattr(optimize, "maximize_rate", spied)
-    min_power(CH, Rayleigh(), 0.3, d, nodes=64)
-    assert len(seen) >= 4
-    for (e, p), sol in seen:
-        ref = orig(CH, Rayleigh(), e, p, nodes=64)
+    p = min_power(CH, Rayleigh(), 0.3, d, nodes=64)
+    assert seen[-1][0] == (d, p) and p > 0.0
+    for (e, q), sol in seen:
+        ref = orig(CH, Rayleigh(), e, q, nodes=64)
         assert repr((sol.rate, sol.lam, sol.policy, sol.warnings)) == \
             repr((ref.rate, ref.lam, ref.policy, ref.warnings))
 
 
 @pytest.mark.parametrize("mode", optimize.MODES)
 def test_min_power_cold_cell_work(solves, monkeypatch, mode):
-    # Newton steps from the last solve alone took 7 solves here in both
-    # modes, the zero budget included, and every fixed-rho solve built the
-    # psi scan's FixedRho chunks again (12 builds); steps from both solved
-    # bracket ends take 6, and the scan's chunks are built once per call
-    scans = []
-    orig = responses.FixedRho.__init__
-
-    def counted(self, g, d, psi, *a):
-        # a scan chunk holds many psi values, a refinement problem one
-        scans.append(np.unique(psi).size > 1)
-        orig(self, g, d, psi, *a)
-
-    monkeypatch.setattr(responses.FixedRho, "__init__", counted)
+    # one multiplier search on the rate target and one check solve: the loop
+    # of Newton and Hermite steps over budgets took 6 solves here, the zero
+    # budget included, and 160 (fixed-rho) or 26 (adaptive-rho) respond calls
+    most = {"fixed-rho": 66, "adaptive-rho": 11}[mode]
+    calls = []
+    orig = optimize._dual_solve
+    monkeypatch.setattr(optimize, "_dual_solve", lambda respond, *a: orig(
+        lambda lam: calls.append(1) or respond(lam), *a))
     min_power(CH, Rayleigh(), 0.3, CH.Q, mode=mode, nodes=64)
-    assert len(solves) <= 6
-    assert sum(scans) <= 2
+    assert len([p for _, p in solves if p > 0.0]) <= 2
+    assert len(calls) <= most
 
 
 def test_min_power_does_not_load_scipy_optimize():
@@ -1068,3 +1056,53 @@ def test_integer_inputs_take_the_float_path(monkeypatch):
         counted(maximize_rate, CH, Rayleigh(), 0.3, 2.0)
     assert counted(min_power, ChannelParams(1, 1, 2.5), Rayleigh(), 0.3, 0.73) == \
         counted(min_power, ChannelParams(1.0, 1.0, 2.5), Rayleigh(), 0.3, 0.73)
+
+
+@pytest.mark.parametrize("mode", optimize.MODES)
+def test_degenerate_gain_trades_against_budget(mode):
+    # rates depend on g only through g^2 P and g sqrt(P), so Degenerate(g0) at
+    # budget P equals Degenerate(1) at g0^2 P (5.4e-16 relative when pinned)
+    for d, budget in ((0.3, 2.5), (1.0, 0.25)):
+        for g0 in (0.7, 1.3):
+            a = maximize_rate(CH, Degenerate(g0), d, budget, mode=mode).rate
+            b = maximize_rate(CH, Degenerate(1.0), d, g0 * g0 * budget, mode=mode).rate
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+    # so P_min(g0) g0^2 = P_min(1) (9.8e-13 relative when pinned)
+    unit = min_power(CH, Degenerate(1.0), 0.2, 0.8, mode=mode)
+    for g0 in (0.7, 1.3):
+        p = min_power(CH, Degenerate(g0), 0.2, 0.8, mode=mode)
+        assert p * g0 * g0 == pytest.approx(unit, rel=POWER_RTOL, abs=0.0)
+
+
+@st.composite
+def _power_cells(draw):
+    """A channel, a fading law and node count, a distortion and a reachable rate target."""
+    c = 10.0 ** draw(st.floats(-3.0, 3.0))
+    ch = ChannelParams(Q=c * 10.0 ** draw(st.floats(-0.6, 0.6)), sigma_z2=c, P_avg=c)
+    kind = draw(st.sampled_from(("degenerate", "discrete", "rayleigh")))
+    if kind == "degenerate":
+        law, nodes = Degenerate(draw(st.floats(0.3, 3.0))), 1
+    elif kind == "discrete":
+        k = draw(st.integers(2, 3))
+        points = sorted(draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k,
+                                      unique=True)))
+        raw = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+        law, nodes = Discrete(points=tuple(points), probs=tuple(p / sum(raw) for p in raw)), 1
+    else:
+        law, nodes = Rayleigh(), 16
+    D = max(ch.Q * 10.0 ** draw(st.floats(-9.0, 0.0)), ch.d_min)
+    # the target: the optimal rate at a drawn budget
+    budget = ch.sigma_z2 * 10.0 ** draw(st.floats(-1.5, 1.3))
+    return ch, law, nodes, D, budget, draw(st.sampled_from(optimize.MODES))
+
+
+@given(_power_cells())
+def test_min_power_and_maximize_rate_invert_each_other(cell):
+    # maximize_rate at P_min reaches the target, and at P_min (1 - 1e-6) it
+    # misses: a margin well above the attained rate's ~3e-9 roughness in P
+    ch, law, nodes, D, budget, mode = cell
+    R = maximize_rate(ch, law, D, budget, mode=mode, nodes=nodes).rate
+    assume(R > max(maximize_rate(ch, law, D, 0.0, mode=mode, nodes=nodes).rate, 0.0) + 1e-6)
+    p = min_power(ch, law, R, D, mode=mode, nodes=nodes)
+    assert maximize_rate(ch, law, D, p, mode=mode, nodes=nodes).rate >= R
+    assert maximize_rate(ch, law, D, p * (1.0 - 1e-6), mode=mode, nodes=nodes).rate < R
