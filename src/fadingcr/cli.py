@@ -130,6 +130,10 @@ def _frontier_warnings(frontier) -> list[dict]:
 def cmd_region(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     ch = cfg.channel
+    if args.points < 1:
+        # an empty grid would read as a frontier whose every point is infeasible
+        print("error: --points must be at least 1", file=sys.stderr)
+        return EXIT_BAD_INPUT
     grid = np.geomspace(DEFAULT_GRID_FLOOR * ch.Q, ch.Q, args.points)
     frontier = rd_frontier(ch, cfg.fading, ch.P_avg, grid=grid, mode=args.mode,
                            nodes=cfg.quadrature_nodes, base=cfg.log_base)
@@ -160,6 +164,10 @@ def cmd_power(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     if any(r < 0 for r in args.rate):
         print("error: rates must be nonnegative", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.dgrid_count < 1:
+        # an empty grid would read as a curve whose every point is unreachable
+        print("error: --dgrid-count must be at least 1", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.dgrid:
         try:

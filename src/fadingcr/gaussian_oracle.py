@@ -261,10 +261,25 @@ def gp_rate_oracle(g: float | np.ndarray, P: float | np.ndarray,
     return mutual_information(cov, "U", "Y", base) - mutual_information(cov, "U", "S", base)
 
 
+#: Uniforms _open_uniform maps per step.
+UNIFORM_BLOCK = 1 << 16
+
+
 def _open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniforms on the open interval (0,1): (2k+1)/2^54 from 53-bit integers."""
-    k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return (2.0 * k + 1.0) * 2.0 ** -54
+    """Uniforms on the open interval (0,1): (2k+1)/2^54 from 53-bit integers.
+
+    They are mapped in place over the integers' buffer, a block at a time:
+    numpy copies the whole of an input that overlaps its output with another
+    dtype.
+    """
+    k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64).reshape(-1)
+    z = k.view(np.float64)
+    for i in range(0, k.size, UNIFORM_BLOCK):
+        block = z[i:i + UNIFORM_BLOCK]
+        np.multiply(k[i:i + UNIFORM_BLOCK], 2.0, out=block)
+        block += 1.0
+        block *= 2.0 ** -54
+    return z.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -312,7 +327,10 @@ def mc_estimate(g: float, P: float, cp: CodingParams, ch: ChannelParams,
     y += s
     y += np.multiply(math.sqrt(ch.sigma_z2), z[3], out=z[3])
     del z
-    cov = np.cov(samples)
+    # np.cov's steps on the samples themselves, without its copy of them
+    samples -= samples.mean(axis=1)[:, None]
+    cov = np.dot(samples, samples.T)
+    cov *= np.true_divide(1, n - 1)
 
     var_u, var_s, cov_us = cov[0, 0], cov[2, 2], cov[0, 2]
     var_s_given_u = var_s - (cov_us ** 2 / var_u if var_u > 0.0 else 0.0)

@@ -25,10 +25,10 @@ below its bound carries a "duality gap" warning.
 The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
 to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
-mode takes the best psi of a 49-point scan and refines it by a regula-falsi
-search for a zero of the envelope derivative dV/dpsi. In both modes one
-responses object per solve starts each node's power solve from its last
-one. All searches are deterministic.
+mode takes the best psi of a 49-point scan, screened by weak duality, and
+refines it by a regula-falsi search for a zero of the envelope derivative
+dV/dpsi. In both modes one responses object per solve starts each node's
+power solve from its last one. All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ def _marginal_hint(m: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
                 target: np.ndarray, hint: tuple[np.ndarray, np.ndarray], floor: float,
-                rate: bool = False) -> tuple[_Response, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+                rate: bool = False, stop: Callable | None = None
+                ) -> tuple[_Response, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Safeguarded Newton iteration on the multipliers of a batch of independent problems.
 
     respond maps one multiplier per problem to a _Response with one row per
@@ -249,10 +250,14 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
     own bracket: narrower than floor relative, or hi below 1e-12 of its
     hint's hi, where its multiplier counts as 0. A problem that lam = 0
     leaves within budget, or whose rate at lam = 0 misses its target, is done
-    at 0. A stopped problem is passed its last evaluated multiplier again,
-    and that response is not taken, so a memoizing respond leaves it as it
-    was: each problem sees the same multipliers in any batch. Returns the
-    feasible responses (at hi for a budget, at lo for a rate target; for an
+    at 0. stop, when given, maps each evaluated multiplier vector and its
+    response to the problems that need no more evaluations (a screen); such
+    a problem is done at that multiplier, which it keeps as the closed
+    bracket (lam, lam), with that response. A stopped problem is passed its
+    last evaluated multiplier again, and that response is not taken, so a
+    memoizing respond leaves it as it was: each problem sees the same
+    multipliers in any batch, and a screen changes no other problem.
+    Returns the feasible responses (at hi for a budget, at lo for a rate target; for an
     unreachable rate target, at 0), their multipliers and the brackets,
     which can seed the next solves; _recover meets the rows exactly.
     """
@@ -275,8 +280,10 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
         excess = _wsum(r.value if rate else r.power, weights) - target
         # lam lies below the root: the row still exceeds its target
         below = excess >= 0.0 if rate else excess > 0.0
-        resp = _take(r, resp, ~done & (below if rate else ~below))
+        halt = ~done & stop(lam, r) if stop is not None else np.zeros_like(done)
+        resp = _take(r, resp, ~done & ((below if rate else ~below) | halt))
         lo, hi = np.where(done | ~below, lo, lam), np.where(done | below, hi, lam)
+        lo, hi = np.where(halt, lam, lo), np.where(halt, lam, hi)
         # the slope of the excess in u = ln lam
         slope = lam * _wsum(r.dpower, weights)
         if rate:
@@ -412,6 +419,48 @@ def _arc_response(nodes: AdaptiveRho, P: np.ndarray, psi: np.ndarray) -> _Respon
     return _Response(value[None], P[None], r1[None], r2[None])
 
 
+def _screen_bounds(lam: np.ndarray, r: _Response, weights: np.ndarray, target: float,
+                   rate: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weak-duality terms of responses r to multipliers lam, one per problem, in the
+    units of _solve_fixed's score (a rate, or minus a spent power): a score that the
+    problem's solve certainly reaches (-inf if none), an upper bound on its score,
+    and the bound's rounding margin.
+
+    A response that meets the constraint row is matched or beaten by its
+    problem's solve: the powers and rates of the responses fall as lam rises,
+    and the solve keeps the feasible response of least (budget) or largest
+    (rate target) multiplier and recovers from it no worse. Each response
+    maximizes R_i - lam P_i over P_i >= 0, so with L = sum_i w_i (R_i - lam P_i)
+    (Yu & Lui, IEEE Trans. Commun. 2006) an allocation that spends at most
+    B (1 + BUDGET_TOL) has rate at most L + lam B (1 + BUDGET_TOL), and one that
+    reaches a rate target R_t spends at least (R_t - L) / lam. At lam = 0, L is
+    the rate's supremum, and of a rate target only whether it is unreachable
+    is known. The margin is 1e-12 of the sums' magnitude.
+    """
+    value, spent = _wsum(r.value, weights), _wsum(r.power, weights)
+    pos = lam > 0.0
+    # lam * sum_i w_i P_i, 0 at lam = 0, where powers may be unbounded
+    cost = lam * _wsum(np.where(pos[:, None], r.power, 0.0), weights)
+    margin = 1e-12 * (_wsum(np.abs(r.value), weights) + cost)
+    if rate:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(pos, (value - cost - target) / lam,
+                             np.where(value < target, -np.inf, np.inf))
+            margin = np.where(pos, (margin + 1e-12 * target) / lam, 0.0)
+        return np.where(value >= target, -spent, -np.inf), bound, margin
+    margin = margin + lam * target * (BUDGET_TOL + 1e-12)
+    return np.where(spent <= target, value, -np.inf), value - cost + lam * target, margin
+
+
+def _screened(dom: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
+    """The problems of a chunk of a k-point psi scan that its screen stops: those
+    dominated (dom) whose psi-neighbours are dominated too, at psi indices at.
+    A neighbour beyond the grid's end counts as dominated, one in another chunk
+    as not. So the scan's argmax and both its neighbours are always solved."""
+    nb = np.r_[False, dom, False]
+    return dom & ((at == 0) | nb[:-2]) & ((at == k - 1) | nb[2:])
+
+
 def _solve_fixed(g, w, ds, target, ch, base, start=None):
     """Shared-(rho1, rho2) mode for every distortion in ds at once.
 
@@ -422,8 +471,15 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
     minus its spent power where it reaches the rate target (-inf elsewhere).
     Per distortion: a 49-point rho2 scan ranked by score, then an Illinois
     regula-falsi search for dV/dpsi = 0 between the scan's best and the
-    neighbour across which the slope changes sign. dV/dpsi is the envelope
-    derivative sum_i w_i dR_i/dpsi at the recovered powers; for a rate
+    neighbour across which the slope changes sign. The scan is screened by
+    weak duality (_screen_bounds): each response bounds its problem's score,
+    and a problem whose bound lies below the best score that the scan
+    certainly reaches at its distortion, and whose psi-neighbours' bounds do
+    too, stops at its current multiplier and scores -inf. The scan's argmax,
+    both its neighbours and every problem with a neighbour in another chunk
+    always finish, with the same multipliers as unscreened, so the screen
+    changes no output bit. dV/dpsi is the envelope derivative
+    sum_i w_i dR_i/dpsi at the recovered powers; for a rate
     target the spent power has the envelope derivative -dV/dpsi / lam, so
     the same search serves. Every stage is one batched multiplier search
     plus primal recovery over its independent (d, psi) problems, CHUNK_ROWS
@@ -451,27 +507,45 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
             return np.where(value >= target, -spent, -np.inf)
         return np.where(spent <= target * (1.0 + BUDGET_TOL), value, -np.inf)
 
-    def recovered(nodes, hint, floor):
-        """_dual_solve and _recover over the problems of nodes: the responses,
-        multipliers, brackets and certified gaps."""
+    def recovered(nodes, hint, floor, stop=None):
+        """_dual_solve (with the screen stop) and _recover over the problems of
+        nodes: the responses, multipliers, brackets and certified gaps."""
         targets = np.full(nodes.g.size // g.size, target)
 
         def respond(lam):
             P, _, dP = nodes.powers(lam)
             return dataclasses.replace(_fixed_response(nodes, P), dpower=dP.reshape(-1, g.size))
 
-        resp, lam, (lo, hi) = _dual_solve(respond, w, targets, hint, floor, rate)
+        resp, lam, (lo, hi) = _dual_solve(respond, w, targets, hint, floor, rate, stop)
         return (*_recover(respond, lambda P: _fixed_response(nodes, P), w, targets, resp, lo, hi,
                           rate), lam, lo, hi)
 
-    def chunk(d, psi, floor, hint, keep):
+    def chunk(d, psi, floor, hint, keep, scan=None):
         """One chunk of solve, over problems (d, psi). Its FixedRho is freed
-        before the next chunk's is made."""
+        before the next chunk's is made. scan, for the coarse scan, is the
+        per-distortion best score that the scan certainly reaches and the
+        index of the chunk's first problem in the d-major (d, psi) grid."""
         nodes = problems(d, psi)
         if hint is None:
             hint = _marginal_hint(nodes.marginal(math.sqrt(start)).reshape(-1, g.size), w)
-        resp, gap, lam, lo, hi = recovered(nodes, hint, floor)
+        stop = None
+        if scan is not None:
+            sure, first = scan
+            j = np.arange(first, first + d.size)
+            di, dom = j // k, np.zeros(d.size, dtype=bool)
+
+            def stop(lam, r):
+                reach, bound, margin = _screen_bounds(lam, r, w, target, rate)
+                np.maximum.at(sure, di, reach)
+                dom[:] |= bound + margin < sure[di]
+                return _screened(dom, j % k, k)
+
+        resp, gap, lam, lo, hi = recovered(nodes, hint, floor, stop)
         best = score(resp)
+        if scan is not None:
+            # a screened problem's score lies below the scan's best: it drops out
+            best[_screened(dom, j % k, k)] = -np.inf
+            np.maximum.at(sure, di, best)
         # the scan only ranks, so its gaps get no held re-solves
         redo = keep & (lo > 0.0) & (gap > RECOVERY_GAP)
         if redo.any():
@@ -500,11 +574,12 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
         return (best, _wsum(nodes.slope(P), w), lo * 0.997, hi * 1.003, lam,
                 gap) + ((resp,) if keep else ())
 
-    def solve(d, psi, floor, hint=None, keep=False):
+    def solve(d, psi, floor, hint=None, keep=False, sure=None):
         """Recovered solves of problems (d, psi): scores, slopes dV/dpsi, widened
-        brackets, multipliers, gaps and, when keep, the responses."""
+        brackets, multipliers, gaps and, when keep, the responses. sure, for
+        the coarse scan, screens it (chunk)."""
         out = [chunk(d[c], psi[c], floor, None if hint is None else (hint[0][c], hint[1][c]),
-                     keep)
+                     keep, None if sure is None else (sure, c.start))
                for c in (slice(s, s + step) for s in range(0, d.size, step))]
         cat = [np.concatenate(z) for z in list(zip(*out))[:6]]
         if keep:
@@ -514,7 +589,8 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
 
     # the scan ranks the grid's psi values: after the recovery a bracket floor
     # of 1e-3 leaves its rates off by O(1e-6 lam B)
-    coarse, c_slope, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3)
+    coarse, c_slope, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3,
+                                              sure=np.full(ds.size, -np.inf))
     row = np.arange(ds.size) * k
     basin = np.argmax(coarse.reshape(ds.size, k), axis=1)
     best_v, f0, h_lo, h_hi, lam, gap, resp = solve(

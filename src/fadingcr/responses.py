@@ -11,7 +11,10 @@ is near linear: ln P, the distance -ln(ln P_r - ln P) to a branch end P_r
 where the marginal rate falls to 0, or psi. Nothing is tabled, no power is
 capped, and the caller evaluates the rates. An AdaptiveRho, and the state
 of a FixedRho, serve one solve: they memoize their responses and start each
-node's power solve from its last one (newton_start).
+node's power solve from its last one (newton_start). FixedRho's structure
+build works on polynomials stored coefficient-major, one contiguous row per
+power of x across all elements, so each step of its algebra is one
+vector operation over the elements.
 """
 
 from __future__ import annotations
@@ -205,31 +208,31 @@ class AdaptiveRho:
 
 
 def _pmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Products of polynomials, coefficients of x**k along the last axis."""
-    out = np.zeros(p.shape[:-1] + (p.shape[-1] + q.shape[-1] - 1,))
-    for k in range(p.shape[-1]):
-        out[..., k:k + q.shape[-1]] += p[..., k:k + 1] * q
+    """Products of polynomials, coefficients of x**k along the first axis."""
+    out = np.zeros((p.shape[0] + q.shape[0] - 1,) + p.shape[1:])
+    for k in range(p.shape[0]):
+        out[k:k + q.shape[0]] += p[k] * q
     return out
 
 
 def _pder(p: np.ndarray) -> np.ndarray:
-    return p[..., 1:] * np.arange(1, p.shape[-1])
+    return p[1:] * np.arange(1, p.shape[0])[:, None]
 
 
 def _peval(p: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """Values and derivatives of polynomials p (last axis low to high) at x."""
+    """Values and derivatives of polynomials p (first axis low to high) at x."""
     val, der = np.zeros(np.shape(x)), np.zeros(np.shape(x))
-    for k in range(p.shape[-1] - 1, -1, -1):
+    for k in range(p.shape[0] - 1, -1, -1):
         der = der * x + val
-        val = val * x + p[..., k]
+        val = val * x + p[k]
     return val, der
 
 
 def _sign_changes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sign changes of each coefficient sequence, and the sign of its lowest nonzero term."""
-    count, prev, low = np.zeros(p.shape[:-1], dtype=int), np.zeros(p.shape[:-1]), None
-    for k in range(p.shape[-1]):
-        s = np.sign(p[..., k])
+    count, prev, low = np.zeros(p.shape[1:], dtype=int), np.zeros(p.shape[1:]), None
+    for k in range(p.shape[0]):
+        s = np.sign(p[k])
         count += s * prev < 0
         prev = np.where(s != 0, s, prev)
         low = s if low is None else np.where(low != 0, low, s)
@@ -244,16 +247,16 @@ def _on_interval(p: np.ndarray, lo, hi) -> np.ndarray:
     the lowest nonzero one is that of p at lo+. Horner's scheme in the
     numerator lo + hi*u, with the binomial rows of (1+u)^k.
     """
-    deg = p.shape[-1] - 1
+    deg = p.shape[0] - 1
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    fin = np.isfinite(hi)[..., None]
-    a, b = lo[..., None], np.where(fin[..., 0], hi, np.where(lo > 0.0, lo, 1.0))[..., None]
-    zero = np.zeros(lo.shape + (1,))
-    q = p[..., deg:]
+    fin = np.isfinite(hi)
+    a, b = lo, np.where(fin, hi, np.where(lo > 0.0, lo, 1.0))
+    zero = np.zeros((1,) + lo.shape)
+    q = p[deg:]
     for k in range(deg - 1, -1, -1):
-        q = np.concatenate([a * q, zero], -1) + np.concatenate([zero, b * q], -1)
+        q = np.concatenate([a * q, zero]) + np.concatenate([zero, b * q])
         binom = np.array([math.comb(deg - k, j) for j in range(deg - k + 1)], dtype=float)
-        q = q + p[..., k:k + 1] * np.where(fin, binom, np.eye(1, deg - k + 1)[0])
+        q = q + p[k] * np.where(fin, binom[:, None], np.eye(1, deg - k + 1)[0][:, None])
     return q
 
 
@@ -312,14 +315,14 @@ class FixedRho:
                          2.0 * g * g * (d + sz - k * (Q + sz)),
                          2.0 * g ** 3 * self.rho1 * (self.rho1 * self.rho2 * v - k * u),
                          np.full_like(g, Q + sz), 2.0 * g * (self.rho1 * u + self.rho2 * v),
-                         g * g, d + sz, 2.0 * g * self.rho2 * v, k * g * g], -1)
-        N, a, b = coef[:, :3], coef[:, 3:6], coef[:, 6:]
-        self.coef = coef.T.copy()
-        T = np.concatenate([np.zeros(g.shape + (1,)), _pmul(a, b)], -1)
+                         g * g, d + sz, 2.0 * g * self.rho2 * v, k * g * g])
+        N, a, b = coef[:3], coef[3:6], coef[6:]
+        self.coef = coef
+        T = np.concatenate([np.zeros((1, g.size)), _pmul(a, b)])
         S = _pmul(_pder(N), T) - _pmul(N, _pder(T))
         del T, u, v, k
 
-        n0, n1, n2 = N.T
+        n0, n1, n2 = N
         vn, n_low = _sign_changes(N)
         with np.errstate(divide="ignore", invalid="ignore"):
             disc = np.sqrt(n1 * n1 - 4.0 * n0 * n2)
@@ -330,9 +333,9 @@ class FixedRho:
                                                        np.maximum(q / n2, n0 / q)))
             # on (0, inf), split at the geometric mean of the magnitudes of S's roots
             nz = S != 0.0
-            k_lo, k_hi = nz.argmax(-1), S.shape[-1] - 1 - nz[:, ::-1].argmax(-1)
+            k_lo, k_hi = nz.argmax(0), S.shape[0] - 1 - nz[::-1].argmax(0)
             at = np.arange(g.size)
-            scale = np.abs(S[at, k_lo] / S[at, k_hi]) ** (1.0 / (k_hi - k_lo))
+            scale = np.abs(S[k_lo, at] / S[k_hi, at]) ** (1.0 / (k_hi - k_lo))
         X = np.where(vn == 1, X, np.inf)
         L, U = np.where((n_low < 0) & (vn == 1), X, 0.0), np.where(n_low > 0, X, np.inf)
         split = np.where(np.isfinite(U), 0.5 * (L + U), np.where(
@@ -352,7 +355,7 @@ class FixedRho:
             yh = np.log(np.where(c1 == 1, split, U)[r])
 
         def fun(y, i):
-            val, der = _peval(S[r[i]], np.exp(y))
+            val, der = _peval(S[:, r[i]], np.exp(y))
             return val, der * np.exp(y)
 
         peak = np.zeros(g.size)
@@ -366,7 +369,7 @@ class FixedRho:
         rows = [(np.flatnonzero(m), *r) for m, *r in rows]
         for e in np.flatnonzero(~(concave | rising | flat)):
             rows.append((np.array([e]), 0.0, 0.0, True, False))
-            rows += [(np.array([e]), lo, hi, False, k) for lo, hi, k in _branches(N[e], S[e])]
+            rows += [(np.array([e]), lo, hi, False, k) for lo, hi, k in _branches(N[:, e], S[:, e])]
         elem = np.concatenate([e for e, *_ in rows])
         order = np.argsort(elem, kind="stable")
         self.elem = elem[order]
@@ -380,7 +383,7 @@ class FixedRho:
         # marginal rates at the branch ends: +inf, -inf or c*n1/(2 a0 b0) at x = 0+
         e = self.elem
         m0 = np.where(n0[e] > 0, np.inf, np.where(
-            n0[e] < 0, -np.inf, self.c * n1[e] / (2.0 * a[e, 0] * b[e, 0])))
+            n0[e] < 0, -np.inf, self.c * n1[e] / (2.0 * a[0, e] * b[0, e])))
         self.m_lo = np.where(zero, -np.inf, np.where(self.xl > 0, self.marginal(self.xl, e), m0))
         # N > 0 on a branch, so its end at a root of N has marginal rate 0
         self.m_hi = np.where(zero, -np.inf, np.where(np.isfinite(self.xr), np.maximum(

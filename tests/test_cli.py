@@ -185,6 +185,18 @@ def test_power_rejects_bad_inputs(tmp_path, capsys):
     assert main(["power", "--rate", "0.1", "--dgrid", "2.5", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("argv", [["region", "--points", "0"], ["region", "--points", "-3"],
+                                  ["power", "--rate", "0.3", "--dgrid-count", "0"],
+                                  ["power", "--rate", "0.3", "--dgrid-count", "-3"]])
+def test_empty_grids_are_rejected(tmp_path, argv, capsys):
+    # an empty grid exited 3 as if every point were infeasible or unreachable (a
+    # negative count with numpy's message), and power still wrote a manifest
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{argv[-2]} must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_passes_and_is_deterministic(tmp_path, config_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     args = ["validate", "--config", config_path, "--draws", "400",

@@ -961,11 +961,12 @@ def test_fixed_rho_power_solves_start_from_each_rows_last_solve(monkeypatch):
 
 
 def _count_newton_evaluations(monkeypatch) -> list:
-    """One entry per fun evaluation of every responses.newton call from now on."""
+    """One entry per fun evaluation of every responses.newton call from now on: the
+    number of rows it evaluates."""
     evals = []
     orig = responses.newton
     monkeypatch.setattr(responses, "newton", lambda fun, *a: orig(
-        lambda y, i: evals.append(1) or fun(y, i), *a))
+        lambda y, i: evals.append(len(i)) or fun(y, i), *a))
     return evals
 
 
@@ -991,7 +992,9 @@ def test_fixed_rho_power_solve_near_a_branch_end(monkeypatch):
 
 def test_fixed_rho_frontier_work_is_pinned(monkeypatch):
     # the 12-point Rayleigh-64 frontier made 210 respond calls and 2,380 newton
-    # evaluations with Newton steps in lam and in ln P up to every branch end
+    # evaluations with Newton steps in lam and in ln P up to every branch end,
+    # and 142 calls and 477,783 evaluated rows before the psi scan's screen
+    # (127 and 264,953 with it)
     evals = _count_newton_evaluations(monkeypatch)
     calls = []
     orig = optimize._dual_solve
@@ -1000,6 +1003,7 @@ def test_fixed_rho_frontier_work_is_pinned(monkeypatch):
     rd_frontier(CH, Rayleigh(), 2.5, grid=np.geomspace(1e-3, 1.0, 12), nodes=64)
     assert len(calls) <= 150
     assert len(evals) <= 800
+    assert sum(evals) <= 300_000
 
 
 @pytest.mark.xfail(strict=True, reason="the 64-node rule leaves a certified gap of 3.2e-5 bits "
@@ -1106,3 +1110,46 @@ def test_min_power_and_maximize_rate_invert_each_other(cell):
     p = min_power(ch, law, R, D, mode=mode, nodes=nodes)
     assert maximize_rate(ch, law, D, p, mode=mode, nodes=nodes).rate >= R
     assert maximize_rate(ch, law, D, p * (1.0 - 1e-6), mode=mode, nodes=nodes).rate < R
+
+
+@given(_power_cells())
+def test_adaptive_rho_dominates_fixed_rho(cell):
+    # adaptive-rho mode relaxes the psi that fixed-rho mode shares across nodes,
+    # so at the same (d, budget) it reaches at least the fixed-rho rate, up to
+    # the tolerance of the benchmark's adaptive check
+    ch, law, nodes, d, budget, _ = cell
+    fixed, adaptive = (maximize_rate(ch, law, d, budget, mode=mode, nodes=nodes).rate
+                       for mode in optimize.MODES)
+    assert adaptive >= fixed - 1e-9
+
+
+def test_psi_scan_screen_changes_no_bit(monkeypatch):
+    # the coarse psi scan stops each problem whose weak-duality bound lies below
+    # a score the scan reaches, unless a psi-neighbour's does not; with a screen
+    # that stops nothing every output keeps its bits. The 3-atom law at Q = 4
+    # has two interior maxima of V(psi), and min_power screens the rate row
+    law3 = Discrete(points=(0.3, 1.0, 2.2), probs=(0.2, 0.5, 0.3))
+    ch4 = ChannelParams(Q=4.0, sigma_z2=1.0, P_avg=0.02)
+    grid = np.geomspace(1e-3, 1.0, 12)
+    runs = {"rayleigh": lambda: rd_frontier(CH, Rayleigh(), 2.5, grid=grid, nodes=64),
+            "degenerate": lambda: rd_frontier(CH, Degenerate(1.0), 2.5, grid=grid, nodes=64),
+            "3-atom": lambda: rd_frontier(ch4, law3, 0.02, grid=4.0 * grid, nodes=1),
+            "min_power": lambda: min_power(CH, Rayleigh(), 0.3, CH.Q, nodes=64)}
+    stopped = []
+    orig = optimize._screened
+
+    def counted(*args):
+        out = orig(*args)
+        stopped.append(out.sum())
+        return out
+
+    monkeypatch.setattr(optimize, "_screened", counted)
+    screened = {}
+    for name, run in runs.items():
+        stopped.clear()
+        screened[name] = repr(run())
+        if name == "rayleigh":
+            assert max(stopped) > 0
+    monkeypatch.setattr(optimize, "_screened", lambda dom, *a: np.zeros_like(dom))
+    for name, run in runs.items():
+        assert repr(run()) == screened[name], name
