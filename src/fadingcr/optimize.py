@@ -11,10 +11,10 @@ min_power meets the rate target sum_i w_i R_i >= R_t: its Lagrangian
 sum_i w_i (P_i - mu R_i) + mu R_t has, with lam = 1/mu, the same per-node
 minimizers, so it is one multiplier search too, followed by one
 maximize_rate at the answer as a check. The iteration runs on a batch of
-independent problems at once (in fixed-rho mode every (d, psi) of a
-distortion grid), each with its own multiplier bracket and stop test. A
-primal-recovery step then meets each row exactly: it mixes the responses at
-the two ends of the final multiplier bracket. The weak-duality bound at the
+independent problems at once (every d of a distortion grid, and in
+fixed-rho mode every (d, psi)), each with its own multiplier bracket and
+stop test. A primal-recovery step then meets each row exactly: it mixes the
+responses that the search evaluated at the two ends of its final bracket. The weak-duality bound at the
 final multiplier certifies each solve. In fixed-rho mode a node's response
 can jump across its concave-hull segment; a problem that stays more than
 RECOVERY_GAP from its bound is solved again once for each row (a branch or
@@ -27,8 +27,10 @@ The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
 mode takes the best psi of a 49-point scan, screened by weak duality, and
 refines it by a regula-falsi search for a zero of the envelope derivative
-dV/dpsi. In both modes one responses object per solve starts each node's
-power solve from its last one. All searches are deterministic.
+dV/dpsi. Both modes run one search-and-recovery path (_solved) on one
+responses object per solve, which keeps each node's response to its last
+multiplier and starts its next power solve from it. All searches are
+deterministic.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from .ergodic import make_rule
 from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy, in_disk
 from .rate_core import _rate_kernel
-from .responses import AdaptiveRho, FixedRho, arc_marginal, arc_psi
+from .responses import AdaptiveRho, FixedRho, arc_psi
 
 MODES = ("fixed-rho", "adaptive-rho")
 
@@ -72,9 +74,8 @@ POWER_RTOL = 1e-8
 #: fourth order.
 RECOVERY_FLOOR = 1e-6
 
-#: Most (problem, node) rows the fixed-rho solver holds at once: a batch of
-#: problems is solved in chunks, so the working set does not grow with the
-#: distortion grid.
+#: Most (problem, node) rows a solver holds at once: a batch of problems is
+#: solved in chunks, so the working set does not grow with the distortion grid.
 CHUNK_ROWS = 2 ** 11
 
 #: Certified duality gap, in rate units, above which a fixed-rho problem is
@@ -213,6 +214,12 @@ def _take(new: _Response, old: _Response, rows: np.ndarray) -> _Response:
                        for f in dataclasses.fields(new)))
 
 
+def _concat(rs: Sequence[_Response]) -> _Response:
+    """The rows of responses rs, in order (without dP/dlam)."""
+    return _Response(*(np.concatenate([getattr(r, f) for r in rs])
+                       for f in ("value", "power", "rho1", "rho2")))
+
+
 def _marginal_hint(m: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multiplier brackets (lo, hi) for _dual_solve from the marginal rates m at uniform
     power, one row per problem: their mean is near the problem's multiplier."""
@@ -223,7 +230,7 @@ def _marginal_hint(m: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
 def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
                 target: np.ndarray, hint: tuple[np.ndarray, np.ndarray], floor: float,
                 rate: bool = False, stop: Callable | None = None
-                ) -> tuple[_Response, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+                ) -> tuple[_Response, _Response, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Safeguarded Newton iteration on the multipliers of a batch of independent problems.
 
     respond maps one multiplier per problem to a _Response with one row per
@@ -258,17 +265,18 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
     memoizing respond leaves it as it was: each problem sees the same
     multipliers in any batch, and a screen changes no other problem.
     Returns the feasible responses (at hi for a budget, at lo for a rate target; for an
-    unreachable rate target, at 0), their multipliers and the brackets,
-    which can seed the next solves; _recover meets the rows exactly.
+    unreachable rate target, at 0), those at the other bracket ends (a stopped
+    problem's at its stop), the multipliers and the brackets, which can seed
+    the next solves; _recover meets the rows exactly from both ends.
     """
     zero = np.zeros_like(target)
-    resp = respond(zero)
+    resp = other = respond(zero)
     if rate:
         free = _wsum(resp.value, weights) < target
     else:
         free = _wsum(resp.power, weights) <= target * (1.0 + BUDGET_TOL)
     if free.all():
-        return resp, zero, (zero, zero)
+        return resp, other, zero, (zero, zero)
 
     seeded = hint[1] > 0.0
     cut = 1e-12 * np.where(seeded, hint[1], 1.0)
@@ -281,7 +289,8 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
         # lam lies below the root: the row still exceeds its target
         below = excess >= 0.0 if rate else excess > 0.0
         halt = ~done & stop(lam, r) if stop is not None else np.zeros_like(done)
-        resp = _take(r, resp, ~done & ((below if rate else ~below) | halt))
+        feas = below if rate else ~below  # the rows whose feasible end moves to lam
+        resp, other = _take(r, resp, ~done & (feas | halt)), _take(r, other, ~done & (~feas | halt))
         lo, hi = np.where(done | ~below, lo, lam), np.where(done | below, hi, lam)
         lo, hi = np.where(halt, lam, lo), np.where(halt, lam, hi)
         # the slope of the excess in u = ln lam
@@ -299,7 +308,7 @@ def _dual_solve(respond: Callable[[np.ndarray], _Response], weights: np.ndarray,
         if done.all():
             break
         lam = np.where(done, lam, nxt)
-    return resp, lo if rate else hi, (lo, hi)
+    return resp, other, lo if rate else hi, (lo, hi)
 
 
 def _illinois(fun: Callable, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
@@ -328,17 +337,18 @@ def _illinois(fun: Callable, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: n
         active[i] = (b[i] - a[i] > tol) & (fx != 0.0)
 
 
-def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, target: np.ndarray,
-             resp: _Response, lo: np.ndarray, hi: np.ndarray, rate: bool = False
+def _recover(rebuild: Callable, weights: np.ndarray, target: np.ndarray, resp: _Response,
+             other: _Response, lo: np.ndarray, hi: np.ndarray, rate: bool = False
              ) -> tuple[_Response, np.ndarray]:
     """Primal recovery: meet each problem's constraint row exactly after _dual_solve.
 
-    For a budget, resp is the response at hi, within budget, and the one at
-    lo exceeds it. The mixture of the two powers that spends the budget moves
-    the continuous nodes across the bracket's width, and gives a node that
-    jumps across its concave-hull segment the power that closes the budget.
-    For a rate target, resp is the response at lo, which reaches it, and the
-    one at hi misses it. The rate of their mixture is not linear in its
+    resp and other are _dual_solve's responses at each bracket's ends. For
+    a budget, resp at hi is within budget, and other, at lo, exceeds it. The
+    mixture of the two powers that spends the budget moves the continuous
+    nodes across the bracket's width, and gives a node that jumps across its
+    concave-hull segment the power that closes the budget.
+    For a rate target, resp is the response at lo, which reaches it, and
+    other, at hi, misses it. The rate of their mixture is not linear in its
     weight t, so t solves rate(t) = target by an Illinois regula falsi on
     [0, 1], and the mixture at the end of its bracket that reaches the
     target is kept. rebuild maps powers to a _Response. By weak duality
@@ -358,7 +368,7 @@ def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, target: 
         spent = _wsum(resp.power, weights)
         rows = (lo > 0.0) & (spent < target)
         if rows.any():
-            over = respond(np.where(rows, lo, hi))
+            over = _take(other, resp, rows)
             extra = _wsum(over.power, weights) - spent
             t = np.where(rows & (extra > 0.0),
                          (target - spent) / np.where(extra > 0.0, extra, 1.0), 0.0)
@@ -370,7 +380,7 @@ def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, target: 
     fb = _wsum(resp.value, weights) - target
     act = (lo > 0.0) & (hi < np.inf) & (fb > 0.0)
     if act.any():
-        short = respond(np.where(act, hi, lo))
+        short = _take(other, resp, act)
         fa = _wsum(short.value, weights) - target
         # the mixture base + t step misses the target at t = 0 and reaches it at
         # t = 1; the other problems keep resp, whose powers may be inf
@@ -396,27 +406,40 @@ def _recover(respond: Callable, rebuild: Callable, weights: np.ndarray, target: 
         return resp, lagr + m * _wsum(resp.power, weights) - target
 
 
-def _fixed_response(nodes: FixedRho, P: np.ndarray) -> _Response:
-    """The response, one row per problem, of nodes at their shared rho and powers P; an
-    unbounded power (lam = 0) has the rate's limit."""
+def _response(nodes: FixedRho | AdaptiveRho, P: np.ndarray, psi=None) -> _Response:
+    """The response, one row per problem, of nodes at per-element powers P: at FixedRho's
+    rho, or at AdaptiveRho's arc angles psi (psi*(P) when None; FixedRho ignores psi).
+    An unbounded power (lam = 0) has the rate's limit."""
     P = np.asarray(P, dtype=float).reshape(-1)
+    if isinstance(nodes, FixedRho):
+        rho1, rho2 = nodes.rho1, nodes.rho2
+    else:
+        psi = nodes.psi(P) if psi is None else psi
+        rho1, rho2 = np.cos(psi), np.sin(psi)
     fin = np.isfinite(P)
-    value = _rates(nodes.g, np.where(fin, P, 0.0), nodes.rho1, nodes.rho2, nodes.d, nodes.ch,
-                   nodes.base)
+    value = _rates(nodes.g, np.where(fin, P, 0.0), rho1, rho2, nodes.d, nodes.ch, nodes.base)
     if not fin.all():
         # the kernel's 0.5 log(d A / (Q B)) tends to c ln(a2 / b2) + c ln(d / Q)
         d = nodes.d[~fin]
         value[~fin] = nodes.top(np.flatnonzero(~fin)) + nodes.c * np.log(d / (nodes.ch.Q - d + d))
-    return _Response(*(z.reshape(-1, nodes.n) for z in (value, P, nodes.rho1, nodes.rho2)))
+    return _Response(*(z.reshape(-1, nodes.n) for z in (value, P, rho1, rho2)))
 
 
-def _arc_response(nodes: AdaptiveRho, P: np.ndarray, psi: np.ndarray) -> _Response:
-    """One problem's response at per-node powers P and arc angles psi."""
-    fin = np.isfinite(P)
-    r1, r2 = np.cos(psi), np.sin(psi)
-    value = np.where(fin, _rates(nodes.g, np.where(fin, P, 0.0), r1, r2, nodes.d, nodes.ch,
-                                 nodes.base), np.inf)
-    return _Response(value[None], P[None], r1[None], r2[None])
+def _solved(nodes: FixedRho | AdaptiveRho, w: np.ndarray, target: float, start: float,
+            floor: float, rate: bool, hint: tuple | None = None, stop: Callable | None = None):
+    """_dual_solve from hint (or from the marginal rates at the budget start) and _recover
+    over the problems of nodes: the responses, certified gaps, multipliers and brackets."""
+    targets = np.full(nodes.g.size // nodes.n, target)
+    if hint is None:
+        hint = _marginal_hint(nodes.marginal(math.sqrt(start)).reshape(-1, nodes.n), w)
+
+    def respond(lam):
+        P, psi, dP = nodes.powers(lam)
+        return dataclasses.replace(_response(nodes, P, psi), dpower=dP.reshape(-1, nodes.n))
+
+    resp, other, lam, (lo, hi) = _dual_solve(respond, w, targets, hint, floor, rate, stop)
+    return (*_recover(lambda P: _response(nodes, P), w, targets, resp, other, lo, hi, rate),
+            lam, lo, hi)
 
 
 def _screen_bounds(lam: np.ndarray, r: _Response, weights: np.ndarray, target: float,
@@ -507,27 +530,12 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
             return np.where(value >= target, -spent, -np.inf)
         return np.where(spent <= target * (1.0 + BUDGET_TOL), value, -np.inf)
 
-    def recovered(nodes, hint, floor, stop=None):
-        """_dual_solve (with the screen stop) and _recover over the problems of
-        nodes: the responses, multipliers, brackets and certified gaps."""
-        targets = np.full(nodes.g.size // g.size, target)
-
-        def respond(lam):
-            P, _, dP = nodes.powers(lam)
-            return dataclasses.replace(_fixed_response(nodes, P), dpower=dP.reshape(-1, g.size))
-
-        resp, lam, (lo, hi) = _dual_solve(respond, w, targets, hint, floor, rate, stop)
-        return (*_recover(respond, lambda P: _fixed_response(nodes, P), w, targets, resp, lo, hi,
-                          rate), lam, lo, hi)
-
     def chunk(d, psi, floor, hint, keep, scan=None):
         """One chunk of solve, over problems (d, psi). Its FixedRho is freed
         before the next chunk's is made. scan, for the coarse scan, is the
         per-distortion best score that the scan certainly reaches and the
         index of the chunk's first problem in the d-major (d, psi) grid."""
         nodes = problems(d, psi)
-        if hint is None:
-            hint = _marginal_hint(nodes.marginal(math.sqrt(start)).reshape(-1, g.size), w)
         stop = None
         if scan is not None:
             sure, first = scan
@@ -540,7 +548,7 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
                 dom[:] |= bound + margin < sure[di]
                 return _screened(dom, j % k, k)
 
-        resp, gap, lam, lo, hi = recovered(nodes, hint, floor, stop)
+        resp, gap, lam, lo, hi = _solved(nodes, w, target, start, floor, rate, hint, stop)
         best = score(resp)
         if scan is not None:
             # a screened problem's score lies below the scan's best: it drops out
@@ -563,7 +571,7 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
                 p = e[c] // g.size
                 held = problems(d[p], psi[p])
                 held.hold(np.arange(p.size) * g.size + e[c] % g.size, row[c] - nodes.start[e[c]])
-                r = recovered(held, (lo[p], hi[p]), floor)[0]
+                r = _solved(held, w, target, start, floor, rate, (lo[p], hi[p]))[0]
                 v = score(r)
                 for i, q in enumerate(p):
                     if v[i] > best[q]:
@@ -583,8 +591,7 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
                for c in (slice(s, s + step) for s in range(0, d.size, step))]
         cat = [np.concatenate(z) for z in list(zip(*out))[:6]]
         if keep:
-            cat.append(_Response(*(np.concatenate([getattr(o[6], f) for o in out])
-                                   for f in ("value", "power", "rho1", "rho2"))))
+            cat.append(_concat([o[6] for o in out]))
         return cat
 
     # the scan ranks the grid's psi values: after the recovery a bracket floor
@@ -619,32 +626,26 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
     return resp, lam, gap
 
 
-def _solve_adaptive(g, w, d, target, ch, base, start=None):
-    """Per-node (rho1, rho2, P) mode: exact responses to each multiplier, then recovery.
-
-    The constraint row is the budget target or, when start is given, the
-    rate target, as in _solve_fixed. One AdaptiveRho lives for the solve, so
-    each response starts from the previous ones and no result depends on an
-    earlier solve.
-    """
+def _solve_adaptive(g, w, ds, target, ch, base, start=None):
+    """Per-node (rho1, rho2, P) mode for every distortion in ds at once (_solved), on the
+    budget row or, when start is given, the rate row, as in _solve_fixed, CHUNK_ROWS
+    rows at a time. One AdaptiveRho serves a chunk's solve, so no result depends on an
+    earlier solve or on the batch."""
     rate, start = start is not None, target if start is None else start
-    targets = np.array([target])
-    nodes = AdaptiveRho(g, d, ch, base)
+    step = max(1, CHUNK_ROWS // g.size)
+    out = [_solved(AdaptiveRho(np.tile(g, c.size), np.repeat(c, g.size), g.size, ch, base), w,
+                   target, start, RECOVERY_FLOOR, rate)
+           for c in np.split(ds, range(step, ds.size, step))]
+    return _concat([o[0] for o in out]), *(np.concatenate([o[j] for o in out]) for j in (2, 1))
 
-    def respond(lam):
-        P, psi, dP = nodes.powers(float(lam[0]))
-        return dataclasses.replace(_arc_response(nodes, P, psi), dpower=dP[None])
 
-    hint = _marginal_hint(arc_marginal(g, math.sqrt(start), d, ch, base)[None], w)
-    resp, lam, (lo, hi) = _dual_solve(respond, w, targets, hint, RECOVERY_FLOOR, rate)
-    resp, gap = _recover(respond, lambda P: _arc_response(nodes, P[0], nodes.psi(P[0])), w,
-                         targets, resp, lo, hi, rate)
-    return resp, lam, gap
+#: Each mode's solver: (g, w, ds, target, ch, base, start=None) -> (responses, lam, gaps).
+_SOLVERS = {"fixed-rho": _solve_fixed, "adaptive-rho": _solve_adaptive}
 
 
 def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
                 P_budget: float, mode: str, nodes: int, base: float) -> list[RateSolution]:
-    """maximize_rate at each distortion of ds; fixed-rho solves them as one batch."""
+    """maximize_rate at each distortion of ds, solved as one batch."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")
     ch.validate()
@@ -673,17 +674,9 @@ def _solve_grid(ch: ChannelParams, fading: FadingModel, ds: Sequence[float],
                 per_node_kappa=tuple(bool(v >= 0.0) for v in node_rates)))
         return out
 
-    if mode == "fixed-rho":
-        resp, lam, gap = _solve_fixed(g, w, np.array(ds, dtype=float), P_budget, ch, base)
-        solved = [(resp, b, lam[b], gap[b]) for b in range(len(ds))]
-    else:
-        solved = []
-        for d in ds:
-            resp, lam, gap = _solve_adaptive(g, w, d, P_budget, ch, base)
-            solved.append((resp, 0, lam[0], gap[0]))
-
+    resp, lams, gaps = _SOLVERS[mode](g, w, np.array(ds, dtype=float), P_budget, ch, base)
     out = []
-    for d, (resp, b, lam, gap) in zip(ds, solved):
+    for b, (d, lam, gap) in enumerate(zip(ds, lams, gaps)):
         power, value = resp.power[b], resp.value[b]
         # the rate at P = 0 is rho-independent: canonicalize silent nodes to (0, 0)
         zero = power == 0.0
@@ -812,11 +805,8 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     rule = make_rule(fading, nodes)
     g, w = np.array(rule.nodes), np.array(rule.weights)
     start = min(warm or ch.sigma_z2, POWER_CAP)
-    if mode == "fixed-rho":
-        resp, lam, _ = _solve_fixed(g, w, np.array([D_target], dtype=float), R_target, ch, base,
-                                    start)
-    else:
-        resp, lam, _ = _solve_adaptive(g, w, D_target, R_target, ch, base, start)
+    resp, lam, _ = _SOLVERS[mode](g, w, np.array([D_target], dtype=float), R_target, ch, base,
+                                  start)
     p = math.inf
     if _wsum(resp.value, w)[0] >= R_target:
         p = float(w @ resp.power[0]) * (1.0 + 0.5 * POWER_RTOL)

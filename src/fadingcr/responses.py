@@ -9,9 +9,11 @@ T = x*A*B of degree 5, and it falls where S = N'T - NT' < 0. Every solve
 here is a bracketed Newton iteration in a variable in which its function
 is near linear: ln P, the distance -ln(ln P_r - ln P) to a branch end P_r
 where the marginal rate falls to 0, or psi. Nothing is tabled, no power is
-capped, and the caller evaluates the rates. An AdaptiveRho, and the state
-of a FixedRho, serve one solve: they memoize their responses and start each
-node's power solve from its last one (newton_start). FixedRho's structure
+capped, and the caller evaluates the rates. Both classes hold a batch of
+problems, one element per (problem, node), and one multiplier per problem.
+An AdaptiveRho, and the state of a FixedRho, serve one solve: each element
+keeps its response to its last multiplier and starts each power solve from
+its last one (newton_start). FixedRho's structure
 build works on polynomials stored coefficient-major, one contiguous row per
 power of x across all elements, so each step of its algebra is one
 vector operation over the elements.
@@ -109,26 +111,26 @@ def arc_terms(g, x, psi, d, ch: ChannelParams):
             axp - ax * ap - bxp + bx * bp)
 
 
-def arc_psi(g, x, d: float, ch: ChannelParams, psi=0.0):
+def arc_psi(g, x, d, ch: ChannelParams, psi=0.0):
     """psi in [-pi/2, pi/2] maximizing the rate on the arc at P = x^2, from the start psi.
 
     The psi-derivative is 2gxu*B >= 0 at -pi/2 and its negative at pi/2
     (u = sqrt(Q - d)), and the arc rate is unimodal in psi, so a bracketed
     Newton solve of the first-order condition finds the maximum.
     """
-    g, x = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(x, dtype=float))
+    g, x, d = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (g, x, d)))
     shape = g.shape
-    g, x = g.reshape(-1), x.reshape(-1)
+    g, x, d = g.reshape(-1), x.reshape(-1), d.reshape(-1)
 
     def fun(p, i):
-        t = arc_terms(g[i], x[i], p, d, ch)
+        t = arc_terms(g[i], x[i], p, d[i], ch)
         return t[2], t[3]
 
     return newton(fun, np.broadcast_to(np.asarray(psi, dtype=float), shape),
                   -0.5 * math.pi, 0.5 * math.pi, 1e-15)
 
 
-def arc_marginal(g, x, d: float, ch: ChannelParams, base: float):
+def arc_marginal(g, x, d, ch: ChannelParams, base: float):
     """Marginal rate dR/dP at P = x^2 > 0 with each node at its psi*(P).
 
     By the envelope theorem this is the slope of the rate maximized on the
@@ -139,8 +141,9 @@ def arc_marginal(g, x, d: float, ch: ChannelParams, base: float):
 
 
 class AdaptiveRho:
-    """Best powers of one problem's nodes, each at its own psi*(P), for one solve.
+    """Best powers of a batch of problems, each node at its own psi*(P), for one solve.
 
+    g and d hold one entry per (problem, node) element, n nodes per problem.
     By the envelope theorem the maximized rate R*(P) has slope
     dR/dP(P, psi*(P)), which falls in P, so a node's power solves
     slope = lam by a Newton iteration over y = ln P with the reduced
@@ -149,62 +152,69 @@ class AdaptiveRho:
     g*sqrt(Q - d) > 0 and c*g^2/(Q + sigma_z2) otherwise; at lam = 0 every
     node with g > 0 takes unbounded power.
 
-    Each node keeps its last solve: multiplier, y, slope d ln m / d y and
-    psi*. A power solve starts from it by newton_start, and every psi solve
-    from the node's last psi*. The start thus depends on the multipliers
-    seen before, so each multiplier's powers, psi* and dP/dlam =
-    P / (lam slope) are kept and a visited multiplier reproduces them bit
-    for bit.
+    Each element keeps its last solve (multiplier, y, slope d ln m / d y and
+    psi*), from which newton_start starts its power solve and every psi
+    solve starts. As in FixedRho it keeps its response to its last
+    multiplier, P, psi* and dP/dlam = P / (lam slope): only the elements
+    whose multiplier changed are solved again.
     """
 
-    def __init__(self, g: np.ndarray, d: float, ch: ChannelParams, base: float):
-        self.g, self.d, self.ch, self.base = g, d, ch, base
+    def __init__(self, g: np.ndarray, d: np.ndarray, n: int, ch: ChannelParams, base: float):
+        self.g, self.d, self.n, self.ch, self.base = g, d, n, ch, base
         self.c = 0.5 / math.log(base)
-        self.m0 = np.where(g * math.sqrt(ch.Q - d) > 0.0, np.inf,
+        self.m0 = np.where(g * np.sqrt(ch.Q - d) > 0.0, np.inf,
                            self.c * g * g / (ch.Q + ch.sigma_z2))
-        # each node's last interior solve: multiplier, y = ln P and slope; and psi*
+        self._problem = np.arange(g.size) // n
+        # each element's last interior solve: multiplier, y = ln P and slope; and psi*
         self._last, self._psi = np.full((3, g.size), np.nan), np.zeros(g.size)
-        self._memo: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # each element's multiplier, power, psi* and dP/dlam at its last response
+        self._memo = np.full((4, g.size), np.nan)
 
-    def powers(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Best power, psi*(P) and dP/dlam of every node under multiplier lam (psi and
-        dP/dlam are 0 where P is 0 or inf)."""
-        if lam in self._memo:
-            return self._memo[lam]
-        g, c = self.g, self.c
-        psi, dP = np.zeros(g.size), np.zeros(g.size)
-        if lam <= 0.0:
-            self._memo[lam] = np.where(g > 0.0, np.inf, 0.0), psi, dP
-            return self._memo[lam]
-        P, live = np.zeros(g.size), np.flatnonzero(lam < self.m0)
-        if live.size:
-            gl, ps, slope = g[live], self._psi[live], np.zeros(live.size)
+    def powers(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Best power, psi*(P) and dP/dlam of every element under lam (one multiplier per
+        problem); psi and dP/dlam are 0 where P is 0 or inf."""
+        lr = lam[self._problem]
+        rows = np.flatnonzero(lr != self._memo[0])
+        lm, c, ch = lr[rows], self.c, self.ch
+        P = np.where((lm <= 0.0) & (self.g[rows] > 0.0), np.inf, 0.0)
+        psi, dP = np.zeros(rows.size), np.zeros(rows.size)
+        live = np.flatnonzero((lm > 0.0) & (lm < self.m0[rows]))
+        e, ll = rows[live], lm[live]
+        gl, dl, ps, slope = self.g[e], self.d[e], self._psi[e], np.zeros(live.size)
 
-            def fun(y, i):
-                # ln(m* / lam) over y = ln P, m* = c f_x / (2x)
-                x = np.exp(0.5 * y)
-                ps[i] = arc_psi(gl[i], x, self.d, self.ch, ps[i])
-                fx, fxx, _, fpp, fxp = arc_terms(gl[i], x, ps[i], self.d, self.ch)
-                fxx = fxx - np.where(fpp < 0.0, fxp * fxp / np.where(fpp < 0.0, fpp, -1.0), 0.0)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    slope[i] = 0.5 * (x * fxx / fx - 1.0)
-                    return (np.where(fx > 0.0, np.log(np.maximum(c * fx / (2.0 * lam * x), 0.0)),
-                                     -np.inf), slope[i])
+        def fun(y, i):
+            # ln(m* / lam) over y = ln P, m* = c f_x / (2x)
+            x = np.exp(0.5 * y)
+            ps[i] = arc_psi(gl[i], x, dl[i], ch, ps[i])
+            fx, fxx, _, fpp, fxp = arc_terms(gl[i], x, ps[i], dl[i], ch)
+            fxx = fxx - np.where(fpp < 0.0, fxp * fxp / np.where(fpp < 0.0, fpp, -1.0), 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope[i] = 0.5 * (x * fxx / fx - 1.0)
+                return (np.where(fx > 0.0, np.log(np.maximum(c * fx / (2.0 * ll[i] * x), 0.0)),
+                                 -np.inf), slope[i])
 
-            y = newton(fun, newton_start(lam, self._last[:, live], c), -np.inf, np.inf, 1e-9)
-            P[live] = np.exp(y)
-            # psi* at the final power, one short Newton solve from the last step's
-            psi[live] = ps = arc_psi(gl, np.sqrt(P[live]), self.d, self.ch, ps)
-            dP[live] = _dpower(P[live], lam, slope)
-            self._last[0, live], self._last[1:, live], self._psi[live] = lam, (y, slope), ps
-        self._memo[lam] = P, psi, dP
-        return P, psi, dP
+        y = newton(fun, newton_start(ll, self._last[:, e], c), -np.inf, np.inf, 1e-9)
+        P[live] = np.exp(y)
+        # psi* at the final power, one short Newton solve from the last step's
+        psi[live] = ps = arc_psi(gl, np.sqrt(P[live]), dl, ch, ps)
+        dP[live] = _dpower(P[live], ll, slope)
+        self._last[:, e], self._psi[e] = (ll, y, slope), ps
+        self._memo[:, rows] = lm, P, psi, dP
+        return self._memo[1].copy(), self._memo[2].copy(), self._memo[3].copy()
 
     def psi(self, P: np.ndarray) -> np.ndarray:
-        """psi*(P) of every node at powers P, each solve from the node's last psi*."""
+        """psi*(P) of every element at powers P, each solve from the element's last psi*."""
         inner = (P > 0.0) & np.isfinite(P)
         return np.where(inner, arc_psi(self.g, np.sqrt(np.where(inner, P, 0.0)), self.d,
                                        self.ch, self._psi), 0.0)
+
+    def marginal(self, x) -> np.ndarray:
+        """arc_marginal of every element at x = sqrt(P)."""
+        return arc_marginal(self.g, x, self.d, self.ch, self.base)
+
+    def top(self, e: np.ndarray) -> np.ndarray:
+        """The limit +inf of c*ln(A/B) as P grows (psi*(P) -> 0), of elements e."""
+        return np.full(e.size, np.inf)
 
 
 def _pmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:

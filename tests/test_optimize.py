@@ -435,17 +435,37 @@ def test_adaptive_policy_passes_its_own_disk_check():
     assert ergodic_rate(rule, sol.policy, d, ch) == pytest.approx(sol.rate, abs=1e-12)
 
 
-@pytest.mark.parametrize("fading", [Rayleigh(), Degenerate(1.0),
-                                    Discrete(points=(0.3, 1.0, 2.2), probs=(0.2, 0.5, 0.3))],
-                         ids=["rayleigh", "degenerate", "discrete"])
-def test_frontier_points_equal_single_solves(fading):
+_LAWS = {"rayleigh": Rayleigh(), "degenerate": Degenerate(1.0),
+         "discrete": Discrete(points=(0.3, 1.0, 2.2), probs=(0.2, 0.5, 0.3))}
+
+
+@pytest.mark.parametrize("fading,mode", [(law, mode) for mode in optimize.MODES
+                                         for law in _LAWS.values()],
+                         ids=[f"{pre}{name}" for pre in ("", "adaptive-") for name in _LAWS])
+def test_frontier_points_equal_single_solves(fading, mode):
     # rd_frontier solves its grid as one batch; each point must be the batch of one
-    fr = rd_frontier(CH, fading, 2.5, grid=np.geomspace(0.05, 1.0, 6), nodes=16)
+    fr = rd_frontier(CH, fading, 2.5, grid=np.geomspace(0.05, 1.0, 6), mode=mode, nodes=16)
     for p in fr.points:
-        sol = maximize_rate(CH, fading, p.d_used, 2.5, nodes=16)
+        sol = maximize_rate(CH, fading, p.d_used, 2.5, mode=mode, nodes=16)
         assert p.R == sol.rate
         assert p.policy == sol.policy
         assert p.warnings == sol.warnings
+
+
+@pytest.mark.parametrize("mode", optimize.MODES)
+def test_every_response_is_a_multiplier_search_evaluation(monkeypatch, mode):
+    # the recovery mixes the responses that the multiplier search evaluated at
+    # its bracket ends; it used to ask for one end's response again
+    searched, solved = [], []
+    orig = optimize._dual_solve
+    monkeypatch.setattr(optimize, "_dual_solve", lambda respond, *a: orig(
+        lambda lam: searched.append(1) or respond(lam), *a))
+    cls = responses.FixedRho if mode == "fixed-rho" else responses.AdaptiveRho
+    powers = cls.powers
+    monkeypatch.setattr(cls, "powers", lambda self, lam: solved.append(1) or powers(self, lam))
+    for d in (0.3, CH.Q):
+        maximize_rate(CH, Rayleigh(), d, CH.P_avg, mode=mode, nodes=16)
+    assert len(solved) == len(searched) > 0
 
 
 def test_frontier_points_keep_solver_warnings():
@@ -476,10 +496,10 @@ def test_dual_solve_stops_at_its_bracket_floor():
     lam_star, budget, w = np.array([0.37]), np.array([1.0]), np.array([1.0])
     for floor, most in ((1e-6, 24), (1e-9, 34)):
         calls = []
-        resp, lam, (lo, hi) = _dual_solve(_step_response(lam_star, calls), w, budget,
-                                          hint=UNIT, floor=floor)
+        resp, other, lam, (lo, hi) = _dual_solve(_step_response(lam_star, calls), w, budget,
+                                                 hint=UNIT, floor=floor)
         assert len(calls) <= most
-        assert resp.power[0, 0] <= budget[0] and lam[0] >= lam_star[0]
+        assert resp.power[0, 0] <= budget[0] < other.power[0, 0] and lam[0] >= lam_star[0]
         assert hi[0] - lo[0] <= floor * hi[0] and lo[0] < lam_star[0] <= hi[0]
 
 
@@ -488,8 +508,8 @@ def test_dual_solve_stops_when_its_multiplier_tends_to_zero():
     # 1e-12 of the hint's hi (40 steps), where the multiplier counts as 0
     lam_star, budget, w = np.array([1e-300]), np.array([1.0]), np.array([1.0])
     calls = []
-    resp, lam, (lo, hi) = _dual_solve(_step_response(lam_star, calls), w, budget,
-                                      hint=(np.array([0.8]), np.array([1.25])), floor=1e-6)
+    resp, _, lam, (lo, hi) = _dual_solve(_step_response(lam_star, calls), w, budget,
+                                         hint=(np.array([0.8]), np.array([1.25])), floor=1e-6)
     assert len(calls) <= 45
     assert lo[0] == 0.0 and 0.0 < lam[0] == hi[0] <= 1.25e-12
     assert resp.power[0, 0] <= budget[0]
@@ -498,15 +518,16 @@ def test_dual_solve_stops_when_its_multiplier_tends_to_zero():
 def test_dual_solve_batch_equals_single_solves():
     # the second problem needs its multiplier doubled three times, the first does not
     lam_star, budget, w = np.array([0.37, 2.9]), np.array([1.0, 1.0]), np.array([1.0])
-    resp, lam, bracket = _dual_solve(_step_response(lam_star, []), w, budget,
-                                     hint=(np.zeros(2), np.ones(2)), floor=1e-6)
+    resp, other, lam, bracket = _dual_solve(_step_response(lam_star, []), w, budget,
+                                            hint=(np.zeros(2), np.ones(2)), floor=1e-6)
     for b in range(2):
         one = _dual_solve(_step_response(lam_star[[b]], []), w, budget[[b]], hint=UNIT,
                           floor=1e-6)
-        assert lam[b] == one[1][0]
-        assert (bracket[0][b], bracket[1][b]) == (one[2][0][0], one[2][1][0])
+        assert lam[b] == one[2][0]
+        assert (bracket[0][b], bracket[1][b]) == (one[3][0][0], one[3][1][0])
         assert (resp.power[b] == one[0].power[0]).all()
         assert (resp.value[b] == one[0].value[0]).all()
+        assert (other.power[b] == one[1].power[0]).all()
 
 
 def _water_filling(g, calls):
@@ -536,11 +557,13 @@ def test_dual_solve_newton_stops_within_six_calls():
     for B in (1.0, 2.5, 30.0):
         budget, calls = np.array([B]), []
         respond = _water_filling(g, calls)
-        resp, lam, (lo, hi) = _dual_solve(respond, w, budget, _water_filling_hint(g, w, budget),
-                                          floor=1e-6)
+        resp, other, lam, (lo, hi) = _dual_solve(respond, w, budget,
+                                                 _water_filling_hint(g, w, budget), floor=1e-6)
         assert len(calls) <= 6
         assert 0.0 < hi[0] - lo[0] <= 1e-6 * hi[0] and lam[0] == hi[0]
         assert w @ resp.power[0] <= B < w @ respond(lo).power[0]
+        # the response at the bracket's other end is the search's own, at lo
+        assert (other.power == respond(lo).power).all()
 
 
 @pytest.mark.parametrize("dpower", [-1e-6, -1.0, -1e6])
@@ -557,7 +580,7 @@ def test_dual_solve_survives_a_misleading_derivative(dpower):
         r.dpower = np.full_like(r.power, dpower)
         return r
 
-    resp, lam, (lo, hi) = _dual_solve(respond, w, budget, hint=UNIT, floor=1e-6)
+    resp, _, lam, (lo, hi) = _dual_solve(respond, w, budget, hint=UNIT, floor=1e-6)
     assert lo[0] < lam_star[0] <= hi[0] == lam[0] and hi[0] - lo[0] <= 1e-6 * hi[0]
     assert resp.power[0, 0] <= budget[0]
     assert len(calls) <= 2 * 24
@@ -568,14 +591,15 @@ def test_dual_solve_newton_batch_equals_single_solves():
     g, w = np.array(rule.nodes) ** 2, np.array(rule.weights)
     budget = np.array([0.1, 1.0, 2.5, 30.0])
     hint = _water_filling_hint(g, w, budget)
-    resp, lam, bracket = _dual_solve(_water_filling(g, []), w, budget, hint, floor=1e-6)
+    resp, other, lam, bracket = _dual_solve(_water_filling(g, []), w, budget, hint, floor=1e-6)
     for b in range(budget.size):
         one = _dual_solve(_water_filling(g, []), w, budget[[b]],
                           (hint[0][[b]], hint[1][[b]]), floor=1e-6)
-        assert lam[b] == one[1][0]
-        assert (bracket[0][b], bracket[1][b]) == (one[2][0][0], one[2][1][0])
+        assert lam[b] == one[2][0]
+        assert (bracket[0][b], bracket[1][b]) == (one[3][0][0], one[3][1][0])
         assert (resp.power[b] == one[0].power[0]).all()
         assert (resp.value[b] == one[0].value[0]).all()
+        assert (other.power[b] == one[1].power[0]).all()
 
 
 def test_dual_solve_passes_a_stopped_problem_its_last_multiplier():
@@ -585,16 +609,17 @@ def test_dual_solve_passes_a_stopped_problem_its_last_multiplier():
     # anew at hi, and it keeps the response it had at hi
     lam_star, budget, w = np.array([0.2, 1e-300]), np.ones(2), np.array([1.0])
     calls, single = [], []
-    resp, lam, (lo, hi) = _dual_solve(_step_response(lam_star, calls), w, budget,
-                                      hint=(np.zeros(2), np.ones(2)), floor=1e-6)
+    resp, other, lam, (lo, hi) = _dual_solve(_step_response(lam_star, calls), w, budget,
+                                             hint=(np.zeros(2), np.ones(2)), floor=1e-6)
     one = _dual_solve(_step_response(lam_star[:1], single), w, budget[:1], hint=UNIT, floor=1e-6)
     k, last = len(single), single[-1][0]
-    assert last == one[2][0][0] < one[2][1][0]
+    assert last == one[3][0][0] < one[3][1][0]
     assert len(calls) > k
     assert [c[0] for c in calls[:k]] == [c[0] for c in single]
     assert all(c[0] == last for c in calls[k:])
-    assert lo[0] == last and lam[0] == hi[0] == one[1][0]
+    assert lo[0] == last and lam[0] == hi[0] == one[2][0]
     assert resp.power[0, 0] == one[0].power[0, 0] <= budget[0]
+    assert other.power[0, 0] == one[1].power[0, 0] > budget[0]
 
 
 def _saturating(a, b, lam0, cap, calls):
@@ -619,12 +644,13 @@ def test_dual_solve_steps_in_ln_lam_from_a_far_hint():
     for B in (1.1, 1.15):
         lam_star, calls = lam0 * math.exp((a - B) / b), []
         hint = (np.array([0.8 * 150.0 * lam_star]), np.array([1.25 * 150.0 * lam_star]))
-        resp, lam, (lo, hi) = _dual_solve(_saturating(a, b, lam0, 2.0, calls), w,
-                                          np.array([B]), hint, floor=1e-3)
+        resp, other, lam, (lo, hi) = _dual_solve(_saturating(a, b, lam0, 2.0, calls), w,
+                                                 np.array([B]), hint, floor=1e-3)
         assert len(calls) <= 5
         # the bracket holds the root of the rounded response, within 2e-15 of lam*
         assert 0.0 < hi[0] - lo[0] <= 1e-3 * hi[0] and lam[0] == hi[0]
         assert resp.power[0, 0] <= B < _saturating(a, b, lam0, 2.0, [])(lo).power[0, 0]
+        assert other.power[0, 0] == _saturating(a, b, lam0, 2.0, [])(lo).power[0, 0]
         assert lo[0] * (1.0 - 2e-15) <= lam_star <= hi[0] * (1.0 + 2e-15)
 
 
@@ -887,11 +913,14 @@ def test_adaptive_warm_start_matches_a_cold_start():
 
     for g in laws:
         for d in (1e-3, 0.3, 1.0):
-            warm = responses.AdaptiveRho(g, d, CH, 2.0)
+            def fresh():
+                return responses.AdaptiveRho(g, np.full(g.size, d), g.size, CH, 2.0)
+
+            warm = fresh()
             lams = np.concatenate((np.geomspace(0.05, 5.0, 6), rng.uniform(0.02, 3.0, 6)))
             for lam in lams:
-                P, psi, _ = warm.powers(float(lam))
-                P0, psi0, _ = responses.AdaptiveRho(g, d, CH, 2.0).powers(float(lam))
+                P, psi, _ = warm.powers(np.array([lam]))
+                P0, psi0, _ = fresh().powers(np.array([lam]))
                 np.testing.assert_allclose(P, P0, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(psi, psi0, rtol=0, atol=1e-13)
                 np.testing.assert_allclose(rates(g, d, P, psi), rates(g, d, P0, psi0),
@@ -916,7 +945,8 @@ def test_response_derivatives_match_central_differences(d, psi):
         return P, dP
 
     def adaptive(lam):
-        P, _, dP = responses.AdaptiveRho(g, d, CH, 2.0).powers(lam)
+        nodes = responses.AdaptiveRho(g, np.full(g.size, d), g.size, CH, 2.0)
+        P, _, dP = nodes.powers(np.array([lam]))
         return P, dP
 
     h = 1e-5
@@ -926,13 +956,22 @@ def test_response_derivatives_match_central_differences(d, psi):
             np.testing.assert_allclose(powers(lam)[1], central, rtol=1e-8, atol=0)
 
 
-def test_adaptive_revisited_multiplier_reproduces_its_response():
+def test_repeated_multipliers_reproduce_their_response(monkeypatch):
+    # in both modes each element keeps its response to its last multiplier: a
+    # repeated multiplier vector gives the same bits and solves no node. The
+    # dict of every multiplier's adaptive-rho response this replaced served one
+    # other revisit, the recovery's of a bracket end, which now reuses the search's
     g = np.array(make_rule(Rayleigh(), 64).nodes)
-    nodes = responses.AdaptiveRho(g, 0.3, CH, 2.0)
-    first = [tuple(a.copy() for a in nodes.powers(lam)) for lam in (0.4, 0.2, 0.3)]
-    for lam, want in zip((0.3, 0.4, 0.2, 0.3), [first[2], *first]):
-        again = nodes.powers(lam)
-        assert all(np.array_equal(a, b) for a, b in zip(again, want))
+    d = np.repeat([0.3, 1.0], g.size)
+    evals = _count_newton_evaluations(monkeypatch)
+    for nodes in (responses.FixedRho(np.tile(g, 2), d, np.full(d.size, 0.4), g.size, CH, 2.0),
+                  responses.AdaptiveRho(np.tile(g, 2), d, g.size, CH, 2.0)):
+        for lam in ([0.4, 0.2], [0.3, 0.2], [0.3, 0.5]):
+            first = tuple(a.copy() for a in nodes.powers(np.array(lam)))
+            solved = sum(evals)
+            again = nodes.powers(np.array(lam))
+            assert sum(evals) == solved
+            assert all(np.array_equal(a, b) for a, b in zip(again, first))
 
 
 def test_adaptive_solve_reuses_its_responses(monkeypatch):
