@@ -37,7 +37,9 @@ def _rate_kernel(g, k00, k11, k22, rho1, rho2, sigma_z2, base=2.0):
     """Signed rate 0.5*log_base(k22*A / ((k11+k22)*B)) with
 
     A = g^2 k00 + (k11+k22) + sigma_z2 + 2 g rho1 sqrt(k00 k11) + 2 g rho2 sqrt(k00 k22),
-    B = (1-rho1^2) g^2 k00 + k22 + sigma_z2 + 2 g rho2 sqrt(k00 k22).
+    B = (1-rho1^2) g^2 k00 + k22 + sigma_z2 + 2 g rho2 sqrt(k00 k22),
+
+    where 1 - rho1^2 is taken as max((1 - rho1)(1 + rho1), rho2^2).
 
     Array-aware; all arguments broadcast.
     """
@@ -46,7 +48,10 @@ def _rate_kernel(g, k00, k11, k22, rho1, rho2, sigma_z2, base=2.0):
     cross1 = 2.0 * g * rho1 * np.sqrt(k00 * k11)
     cross2 = 2.0 * g * rho2 * np.sqrt(k00 * k22)
     num_inner = gg * k00 + s_tot + sigma_z2 + cross1 + cross2
-    den_inner = (1.0 - rho1 * rho1) * gg * k00 + k22 + sigma_z2 + cross2
+    # 1 - rho1^2 without cancellation near rho1 = 1, and at least rho2^2: the
+    # residual variance k00 (1 - rho1^2 - rho2^2) is clamped at 0
+    resid = np.maximum((1.0 - rho1) * (1.0 + rho1), rho2 * rho2)
+    den_inner = resid * gg * k00 + k22 + sigma_z2 + cross2
     ratio = (k22 * num_inner) / (s_tot * den_inner)
     if base == 2.0:
         return 0.5 * np.log2(ratio)

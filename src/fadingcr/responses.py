@@ -319,7 +319,9 @@ class FixedRho:
         self.rho2 = np.sin(psi)
         self.rho1 = np.where(np.abs(self.rho2) == 1.0, 0.0, np.cos(psi))
         Q, sz = ch.Q, ch.sigma_z2
-        u, v, k = np.sqrt(Q - d), np.sqrt(d), 1.0 - self.rho1 * self.rho1
+        # 1 - rho1^2 as in rate_core._rate_kernel
+        k = np.maximum((1.0 - self.rho1) * (1.0 + self.rho1), self.rho2 * self.rho2)
+        u, v = np.sqrt(Q - d), np.sqrt(d)
         # N, A and B, coefficients of x**0, x**1, x**2
         coef = np.stack([2.0 * g * u * (self.rho1 * (d + sz) - self.rho2 * u * v),
                          2.0 * g * g * (d + sz - k * (Q + sz)),

@@ -468,6 +468,34 @@ def test_every_response_is_a_multiplier_search_evaluation(monkeypatch, mode):
     assert len(solved) == len(searched) > 0
 
 
+def _mp_rate(sol, d, ch):
+    """The rate, in mpmath at 40 digits, of a solution's policy at its own arc angles
+    atan2(rho2, rho1); a silent node at (0, 0)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    Q, sz, d, total = mp.mpf(ch.Q), mp.mpf(ch.sigma_z2), mp.mpf(d), mp.mpf(0)
+    pol = sol.policy
+    for g, w, P, r1, r2 in zip(pol.nodes, pol.weights, pol.power, pol.rho1, pol.rho2):
+        g, P, psi = mp.mpf(g), mp.mpf(P), mp.atan2(r2, r1)
+        co, si = (mp.cos(psi), mp.sin(psi)) if (r1, r2) != (0.0, 0.0) else (0, 0)
+        a = g * g * P + Q + sz + 2 * g * co * mp.sqrt(P * (Q - d)) + 2 * g * si * mp.sqrt(P * d)
+        b = si * si * g * g * P + d + sz + 2 * g * si * mp.sqrt(P * d)
+        total += w * mp.log(d * a / (Q * b), 2) / 2
+    return total
+
+
+@pytest.mark.parametrize("mode", optimize.MODES)
+def test_rates_at_large_budgets_do_not_exceed_their_policy(mode):
+    # the kernel formed 1 - rho1^2 as 1 - rho1 * rho1, which cancels where psi*
+    # goes as 1/(g sqrt(P)): adaptive-rho returned inf bits at d = Q and budget
+    # 1e16, and both modes overstated the rate of their own policy at 1e8-1e12
+    for d in (0.3, 0.999, CH.Q):
+        for budget in (1e8, 1e12, 1e16):
+            sol = maximize_rate(CH, Rayleigh(), d, budget, mode=mode, nodes=16)
+            assert math.isfinite(sol.rate)
+            assert sol.rate <= _mp_rate(sol, d, CH) + 1e-9, (d, budget)
+
+
 def test_frontier_points_keep_solver_warnings():
     # a Rayleigh-8 solve at d = Q and a small budget ends with a duality-gap warning
     sol = maximize_rate(CH, Rayleigh(), CH.Q, 0.02, nodes=8)
