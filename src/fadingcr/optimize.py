@@ -466,7 +466,8 @@ def _screen_bounds(lam: np.ndarray, r: _Response, weights: np.ndarray, target: f
     cost = lam * _wsum(np.where(pos[:, None], r.power, 0.0), weights)
     margin = 1e-12 * (_wsum(np.abs(r.value), weights) + cost)
     if rate:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a target far beyond reach overflows the bound to -inf, its right value
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             bound = np.where(pos, (value - cost - target) / lam,
                              np.where(value < target, -np.inf, np.inf))
             margin = np.where(pos, (margin + 1e-12 * target) / lam, 0.0)
@@ -765,8 +766,7 @@ def rd_frontier(ch: ChannelParams, fading: FadingModel, P_budget: float,
 
 
 def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target: float,
-              mode: str = "fixed-rho", nodes: int = 64, base: float = 2.0,
-              warm_lo: float | None = None) -> float:
+              mode: str = "fixed-rho", nodes: int = 64, base: float = 2.0) -> float:
     """Smallest average budget attaining rate >= R_target at distortion parameter d = D_target.
 
     The problem min E[P] s.t. E[R] >= R_target has the Lagrangian
@@ -775,10 +775,8 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     multiplier search on the rate row (_dual_solve) and its recovery give
     the least spend B* that reaches R_target at d = D_target; in fixed-rho
     mode the psi scan ranks by spent power. The search starts from the
-    marginal rates at warm_lo or else at the noise power sigma_z2, the
-    natural unit of P (rates are invariant under a joint scale of Q, d,
-    sigma_z2 and P). warm_lo is a lower bound from a neighbouring cell: it
-    is solved first and returned at once if it reaches the target.
+    marginal rates at the noise power sigma_z2, the natural unit of P
+    (rates are invariant under a joint scale of Q, d, sigma_z2 and P).
     A check solve, maximize_rate at B* (1 + POWER_RTOL/2), keeps the
     contract that maximize_rate at the returned budget reaches R_target: on
     a miss the budget steps up by max((R_target - rate) / lam,
@@ -786,6 +784,8 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     again. No budget above POWER_CAP is solved; raises UnreachableError when
     POWER_CAP misses.
     """
+    if not math.isfinite(R_target):
+        raise ConfigError(f"rate target {R_target} is not finite")
     if R_target < 0:
         raise ConfigError("R_target must be nonnegative")
     if not (ch.d_min <= D_target <= ch.Q):
@@ -798,15 +798,11 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
 
     if solve(0.0).rate >= R_target:
         return 0.0
-    warm = min(max(warm_lo or 0.0, 0.0), POWER_CAP)
-    if warm > 0.0 and solve(warm).rate >= R_target:
-        return warm
 
     rule = make_rule(fading, nodes)
     g, w = np.array(rule.nodes), np.array(rule.weights)
-    start = min(warm or ch.sigma_z2, POWER_CAP)
     resp, lam, _ = _SOLVERS[mode](g, w, np.array([D_target], dtype=float), R_target, ch, base,
-                                  start)
+                                  min(ch.sigma_z2, POWER_CAP))
     p = math.inf
     if _wsum(resp.value, w)[0] >= R_target:
         p = float(w @ resp.power[0]) * (1.0 + 0.5 * POWER_RTOL)
@@ -830,9 +826,11 @@ def power_distortion_curve(ch: ChannelParams, fading: FadingModel,
                            base: float = 2.0) -> dict[tuple[float, float], float | None]:
     """min_power over a (rate, distortion) product grid; None marks unreachable cells.
 
-    Processed rate-ascending and distortion-descending with the previous
-    answers as bracket lower bounds, so the monotonicity of P(R, D) in both
-    arguments holds structurally (feasible-set nesting).
+    Processed rate-ascending and distortion-descending. The previous
+    answers at the same distortion and at the next larger one bound a cell
+    from below (feasible-set nesting): a positive bound that reaches the
+    target is the cell's answer, and otherwise min_power solves the cell.
+    So the monotonicity of P(R, D) in both arguments holds structurally.
     """
     rates = sorted(float(r) for r in rates)
     d_grid = sorted(float(d) for d in d_grid)
@@ -843,10 +841,12 @@ def power_distortion_curve(ch: ChannelParams, fading: FadingModel,
         for d in reversed(d_grid):
             p = None
             if prev_rate[d] is not None and larger_d is not None:
-                try:
-                    p = min_power(ch, fading, r, d, mode=mode, nodes=nodes, base=base,
-                                  warm_lo=max(prev_rate[d], larger_d))
-                except UnreachableError:
-                    pass
+                p = max(prev_rate[d], larger_d)
+                if p <= 0.0 or maximize_rate(ch, fading, d, p, mode=mode, nodes=nodes,
+                                             base=base).rate < r:
+                    try:
+                        p = min_power(ch, fading, r, d, mode=mode, nodes=nodes, base=base)
+                    except UnreachableError:
+                        p = None
             out[(r, d)] = prev_rate[d] = larger_d = p
     return out

@@ -183,6 +183,12 @@ def test_power_rejects_bad_inputs(tmp_path, capsys):
     assert main(["power", "--out", str(out)]) == 2
     assert main(["power", "--rate", "-0.5", "--out", str(out)]) == 2
     assert main(["power", "--rate", "0.1", "--dgrid", "2.5", "--out", str(out)]) == 2
+    # a nan target read as unreachable (exit 3), and inf raised RuntimeWarnings
+    for rate in ("nan", "inf"):
+        capsys.readouterr()
+        assert main(["power", "--rate", rate, "--dgrid", "1.0", "--out", str(out)]) == 2
+        assert f"rate target {rate} is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["region", "--points", "0"], ["region", "--points", "-3"],

@@ -212,6 +212,18 @@ def test_min_power_consistent_with_frontier():
 def test_min_power_unreachable():
     with pytest.raises(UnreachableError):
         min_power(CH, Degenerate(0.0), 0.1, 0.5)
+    # huge targets: the rate row's weak-duality bound overflowed to -inf with a
+    # RuntimeWarning (fixed-rho), and the kernel warned at 20 and 50 bits
+    # (adaptive-rho, d = Q)
+    for mode in optimize.MODES:
+        for target in (20.0, 50.0, 1e10, 1e30, 1e300):
+            for D in (CH.Q, 0.3 * CH.Q):
+                with pytest.raises(UnreachableError):
+                    min_power(CH, Rayleigh(), target, D, mode=mode, nodes=16)
+    # a non-finite target is an input error, not an unreachable one
+    for target in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="not finite"):
+            min_power(CH, Rayleigh(), target, CH.Q, nodes=16)
 
 
 def test_power_distortion_curve_structure():
