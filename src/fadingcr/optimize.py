@@ -841,6 +841,7 @@ def power_distortion_curve(ch: ChannelParams, fading: FadingModel,
         for d in reversed(d_grid):
             p = None
             if prev_rate[d] is not None and larger_d is not None:
+                # the neighbours' answers bound this cell's from below
                 p = max(prev_rate[d], larger_d)
                 if p <= 0.0 or maximize_rate(ch, fading, d, p, mode=mode, nodes=nodes,
                                              base=base).rate < r:

@@ -50,8 +50,8 @@ def _rate_kernel(g, k00, k11, k22, rho1, rho2, sigma_z2, base=2.0):
     num_inner = gg * k00 + s_tot + sigma_z2 + cross1 + cross2
     # 1 - rho1^2 without cancellation near rho1 = 1, and at least rho2^2: the
     # residual variance k00 (1 - rho1^2 - rho2^2) is clamped at 0
-    resid = np.maximum((1.0 - rho1) * (1.0 + rho1), rho2 * rho2)
-    den_inner = resid * gg * k00 + k22 + sigma_z2 + cross2
+    k = np.maximum((1.0 - rho1) * (1.0 + rho1), rho2 * rho2)
+    den_inner = k * gg * k00 + k22 + sigma_z2 + cross2
     ratio = (k22 * num_inner) / (s_tot * den_inner)
     if base == 2.0:
         return 0.5 * np.log2(ratio)
