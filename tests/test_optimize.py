@@ -778,6 +778,24 @@ def test_fixed_rho_frontier_working_set_is_bounded():
     assert peak < 2e6
 
 
+def test_adaptive_frontier_working_set_is_bounded():
+    # an adaptive-rho grid is one batch solved CHUNK_ROWS (d, node) rows at a
+    # time: 100 points at 64 nodes take four chunks (4.5 MB traced as one
+    # batch), and a point of a later chunk is still its lone solve
+    make_rule(Rayleigh(), 64)
+    grid = list(np.geomspace(1e-3, 1.0, 100))
+    tracemalloc.start()
+    try:
+        sols = optimize._solve_grid(CH, Rayleigh(), grid, 2.5, "adaptive-rho", 64, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+    for b in (40, 99):
+        assert sols[b] == maximize_rate(CH, Rayleigh(), grid[b], 2.5, mode="adaptive-rho",
+                                        nodes=64)
+
+
 def test_min_power_solve_count_steady_under_tiny_target_changes(solves):
     # the attained rate is rough at ~1e-9 bits near P_min; a stop tolerance
     # below that roughness makes the solve count jump (14, 11, 11, 13 at 1e-9
