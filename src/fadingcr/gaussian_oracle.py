@@ -3,8 +3,10 @@
 Builds the joint law of (U, T, S, X, Y) from the coding construction and
 re-derives every closed form in rate_core through covariance algebra
 (Schur complements, log-determinant mutual informations) and seeded
-Monte-Carlo sampling. Note E[X^2] = P exactly: X carries an independent
-residual on top of its U and T components, so the disk interior is covered.
+Monte-Carlo sampling, streamed in blocks so that its memory does not
+depend on the sample count. Note E[X^2] = P exactly: X carries an
+independent residual on top of its U and T components, so the disk
+interior is covered.
 
 Every oracle works on a stack of draws: build_covariance takes arrays of g
 and P with one CodingParams per draw and fills an (N, 5, 5) array,
@@ -24,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,14 +56,16 @@ class JointCovariance:
     ch: ChannelParams
 
 
-def _coefficients(P: float, cp: CodingParams, ch: ChannelParams) -> tuple[float, float, float]:
-    """(c_u, c_t, Var(W)) of X = c_u U + c_t T + W with E[X^2] = P."""
+def _sample_map(g: float, P: float, cp: CodingParams, ch: ChannelParams) -> np.ndarray:
+    """The 5x4 map M from the normals (z_u, z_t, z_w, z_n) to the samples (u, t, s, x, y)."""
     vu = _clamp0(ch.Q - cp.d)
-    vt = cp.d
     c_u = cp.rho1 * math.sqrt(P / vu) if vu > 0.0 else 0.0
-    c_t = cp.rho2 * math.sqrt(P / vt)
-    vw = _clamp0(P - c_u * c_u * vu - c_t * c_t * vt)
-    return c_u, c_t, vw
+    c_t = cp.rho2 * math.sqrt(P / cp.d)
+    vw = _clamp0(P - c_u * c_u * vu - c_t * c_t * cp.d)
+    u, t = np.array([math.sqrt(vu), 0.0, 0.0, 0.0]), np.array([0.0, math.sqrt(cp.d), 0.0, 0.0])
+    x = c_u * u + c_t * t + [0.0, 0.0, math.sqrt(vw), 0.0]
+    y = g * x + (u + t) + [0.0, 0.0, 0.0, math.sqrt(ch.sigma_z2)]
+    return np.array([u, t, u + t, x, y])
 
 
 def build_covariance(g: float | np.ndarray, P: float | np.ndarray,
@@ -261,25 +265,30 @@ def gp_rate_oracle(g: float | np.ndarray, P: float | np.ndarray,
     return mutual_information(cov, "U", "Y", base) - mutual_information(cov, "U", "S", base)
 
 
-#: Uniforms _open_uniform maps per step.
-UNIFORM_BLOCK = 1 << 16
+#: Columns of the (4, n) normals that mc_estimate draws and reduces per step.
+MC_BLOCK = 1 << 13
 
 
-def _open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniforms on the open interval (0,1): (2k+1)/2^54 from 53-bit integers.
+def _open_uniform(k: np.ndarray) -> np.ndarray:
+    """(2k+1)/2^54 in double for 53-bit integers k: uniforms on the open interval (0,1).
 
-    They are mapped in place over the integers' buffer, a block at a time:
-    numpy copies the whole of an input that overlaps its output with another
-    dtype.
+    For k >= 2^52, 2k+1 rounds to even; k = 2^53 - 1 would give 1.0, so the map is held below 1.
     """
-    k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64).reshape(-1)
-    z = k.view(np.float64)
-    for i in range(0, k.size, UNIFORM_BLOCK):
-        block = z[i:i + UNIFORM_BLOCK]
-        np.multiply(k[i:i + UNIFORM_BLOCK], 2.0, out=block)
-        block += 1.0
-        block *= 2.0 ** -54
-    return z.reshape(shape)
+    return np.minimum((k * 2.0 + 1.0) * 2.0 ** -54, np.nextafter(1.0, 0.0))
+
+
+def _normal_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
+    """The (4, n) standard normals of mc_estimate, MC_BLOCK columns at a time.
+
+    Row r maps PCG64(seed) outputs rn ... rn + n - 1 (drawn by jump-ahead, shifted
+    to 53 bits as Generator.integers(0, 2**53) does) through _open_uniform and ndtri.
+    """
+    from scipy.special import ndtri  # kept off the solver's import path
+
+    rows = [np.random.PCG64(seed).advance(r * n) for r in range(4)]
+    for i in range(0, n, MC_BLOCK):
+        k = np.array([row.random_raw(min(MC_BLOCK, n - i)) for row in rows]) >> 11
+        yield ndtri(_open_uniform(k))
 
 
 @dataclass(frozen=True)
@@ -298,39 +307,20 @@ def mc_estimate(g: float, P: float, cp: CodingParams, ch: ChannelParams,
                 n: int, seed: int, base: float = 2.0) -> McEstimate:
     """Sample the construction and return empirical covariance, Var(S|U) and plug-in rate.
 
-    Deterministic given (seed, n): PCG64 uniforms mapped through the normal
-    inverse CDF.
+    Deterministic given (seed, n). The samples are M z for the normals z of
+    _normal_blocks, so their sample covariance is M C_z M^T with C_z that of z.
     """
-    # imported here, so that scipy stays off the solver's import path
-    from scipy.special import ndtri
-
     if n < 1000:
         raise ValueError("mc_estimate needs n >= 1000")
     cp.validate(ch)
-    c_u, c_t, vw = _coefficients(P, cp, ch)
-    vu = _clamp0(ch.Q - cp.d)
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    z = _open_uniform(rng, (4, n))
-    ndtri(z, out=z)
-    # rows (u, t, s, x, y) built in place, each sum left to right as
-    # x = c_u u + c_t t + w and y = g x + s + noise
-    samples = np.empty((5, n))
-    u, t, s, x, y = samples
-    np.multiply(math.sqrt(vu), z[0], out=u)
-    np.multiply(math.sqrt(cp.d), z[1], out=t)
-    np.add(u, t, out=s)
-    np.multiply(c_u, u, out=x)
-    x += np.multiply(c_t, t, out=z[1])
-    x += np.multiply(math.sqrt(vw), z[2], out=z[2])
-    np.multiply(g, x, out=y)
-    y += s
-    y += np.multiply(math.sqrt(ch.sigma_z2), z[3], out=z[3])
-    del z
-    # np.cov's steps on the samples themselves, without its copy of them
-    samples -= samples.mean(axis=1)[:, None]
-    cov = np.dot(samples, samples.T)
-    cov *= np.true_divide(1, n - 1)
+    gram, sums = np.zeros((4, 4)), np.zeros(4)
+    for z in _normal_blocks(seed, n):
+        gram += z @ z.T
+        sums += z.sum(axis=1)
+    # the normals have mean 0, so removing the sample mean cancels no digits
+    m = _sample_map(g, P, cp, ch)
+    cov = m @ ((gram - np.outer(sums, sums) / n) / (n - 1)) @ m.T
+    cov = 0.5 * (cov + cov.T)  # the product rounds apart across the diagonal
 
     var_u, var_s, cov_us = cov[0, 0], cov[2, 2], cov[0, 2]
     var_s_given_u = var_s - (cov_us ** 2 / var_u if var_u > 0.0 else 0.0)

@@ -145,7 +145,8 @@ class AdaptiveRho:
 
     g and d hold one entry per (problem, node) element, n nodes per problem.
     By the envelope theorem the maximized rate R*(P) has slope
-    dR/dP(P, psi*(P)), which falls in P, so a node's power solves
+    dR/dP(P, psi*(P)), which falls in P only for sigma_z2/Q >= 1 (below,
+    it can rise over one run of P; ROADMAP item 1). A node's power solves
     slope = lam by a Newton iteration over y = ln P with the reduced
     curvature f_xx - f_xpsi^2 / f_psipsi, and each of its steps solves
     psi*(P) by arc_psi. The marginal rate at P = 0+ is unbounded when

@@ -39,7 +39,17 @@ class IdentityCheck:
     passed: bool
 
 
-def draw_params(rng: np.random.Generator, ch: ChannelParams,
+class UniformBlock:
+    """rng.random(shape), handed out in row order as Generator.uniform maps its draws."""
+
+    def __init__(self, rng: np.random.Generator, shape: tuple[int, ...]) -> None:
+        self._u = iter(rng.random(shape).ravel().tolist())
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * next(self._u)
+
+
+def draw_params(rng: np.random.Generator | UniformBlock, ch: ChannelParams,
                 d_lo: float = 1e-6) -> tuple[float, float, CodingParams]:
     """One random valid (g, P, CodingParams) draw: g in [0,4], P in [0,10], disk rhos."""
     g = rng.uniform(0.0, 4.0)
@@ -50,7 +60,7 @@ def draw_params(rng: np.random.Generator, ch: ChannelParams,
     return g, P, CodingParams(r * math.cos(th), r * math.sin(th), d)
 
 
-def draw_converse_cov(rng: np.random.Generator, ch: ChannelParams,
+def draw_converse_cov(rng: np.random.Generator | UniformBlock, ch: ChannelParams,
                       boundary: bool = False) -> rc.ConverseCovariance:
     """Random PSD converse covariance with K11 + K22 = Q.
 
@@ -95,8 +105,9 @@ def run_validation(cfg: Config, draws: int = 10000, samples: int = 1_000_000,
         checks.append(IdentityCheck(name, float(observed), tol, bool(observed <= tol)))
 
     # (i) closed-form rate vs the log-det oracle; (ii) converse functional identity.
-    # The draws come one at a time in a fixed order; the oracle runs on their stack.
-    draws_i = [draw_params(rng, ch) for _ in range(draws)]
+    # The draws come as one block of rows; the oracle runs on their stack.
+    block = UniformBlock(rng, (draws, 5))
+    draws_i = [draw_params(block, ch) for _ in range(draws)]
     gs, Ps, cps = zip(*draws_i)
     r_closed = np.array([rc.rate_per_state(g, P, cp, ch, base) for g, P, cp in draws_i])
     r_conv = np.array([
@@ -108,14 +119,12 @@ def run_validation(cfg: Config, draws: int = 10000, samples: int = 1_000_000,
     add("converse-identity",
         np.max(np.abs(r_conv - r_closed) / np.maximum(np.abs(r_closed), 1e-12)))
 
-    # (iii) Schur-complement oracles for the conditional variances, stacked as in (i)
-    draws_iii = []
-    for _ in range(max(draws // 10, 100)):
-        g, P, cp = draw_params(rng, ch)
-        Kb = draw_converse_cov(rng, ch, boundary=True)
-        K = draw_converse_cov(rng, ch)
-        draws_iii.append((g, P, cp, Kb, K))
-    gs, Ps, cps, Kbs, Ks = zip(*draws_iii)
+    # (iii) Schur-complement oracles, stacked as in (i); a row draws (g, P, cp), Kb and K
+    m = max(draws // 10, 100)
+    block = UniformBlock(rng, (m, 12))
+    gs, Ps, cps, Kbs, Ks = zip(*[(*draw_params(block, ch),
+                                  draw_converse_cov(block, ch, boundary=True),
+                                  draw_converse_cov(block, ch)) for _ in range(m)])
     cov = go.build_covariance(np.array(gs), np.array(Ps), cps, ch)
     d = np.array([cp.d for cp in cps])
     add("distortion-identity", np.max(np.abs(go.schur_conditional_variance(cov, "S", "U") - d)))

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fadingcr import gaussian_oracle as go
 from fadingcr.model import ChannelParams, CodingParams
 from fadingcr.gaussian_oracle import (VARIABLES, build_covariance, gp_rate_oracle, mc_estimate,
                                       mutual_information, schur_conditional_variance)
@@ -127,6 +129,30 @@ def test_mc_determinism():
     c = mc_estimate(1.2, 3.0, cp, CH, n=5000, seed=124)
     assert not np.array_equal(a.covariance, c.covariance)
     assert a.algorithm == "pcg64-ndtri"
+
+
+def test_open_uniform_stays_inside_the_unit_interval():
+    # from 2^52 on, 2k+1 rounds to an even neighbour; only the top integer,
+    # which rounded to 1.0 (a sample of +inf), moves
+    k = np.array([0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1], dtype=np.int64)
+    u = go._open_uniform(k)
+    assert np.all((u > 0.0) & (u < 1.0))
+    unclamped = (k * 2.0 + 1.0) * 2.0 ** -54
+    assert np.array_equal(u[:-1], unclamped[:-1])
+    assert unclamped[-1] == 1.0 and u[-1] == np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [500_000, 2_000_000])
+def test_mc_estimate_memory_does_not_grow_with_n(n):
+    cp = CodingParams(0.6, -0.3, 0.4)
+    mc_estimate(1.2, 3.0, cp, CH, n=1000, seed=1)  # imports scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        mc_estimate(1.2, 3.0, cp, CH, n=n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_mc_requires_min_samples():

@@ -16,19 +16,42 @@ from fadingcr import gaussian_oracle as go
 from fadingcr import rate_core as rc
 from fadingcr import ergodic
 from fadingcr.model import ChannelParams, CodingParams, Config, ConfigError, Rayleigh, in_disk
-from fadingcr.validation import TOLERANCES, draw_converse_cov, draw_params, run_validation
+from fadingcr.validation import (TOLERANCES, UniformBlock, draw_converse_cov, draw_params,
+                                 run_validation)
 
 CH = ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=2.5)
 
 
+def _scalar_params(rng: np.random.Generator, ch: ChannelParams,
+                   d_lo: float = 1e-6) -> tuple[float, float, CodingParams]:
+    """draw_params written out as one Generator.uniform call per value."""
+    g = rng.uniform(0.0, 4.0)
+    P = rng.uniform(0.0, 10.0)
+    r = math.sqrt(rng.uniform(0.0, 1.0))
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    d = rng.uniform(d_lo, ch.Q * 0.999999)
+    return g, P, CodingParams(r * math.cos(th), r * math.sin(th), d)
+
+
+def _scalar_converse(rng: np.random.Generator, ch: ChannelParams,
+                     boundary: bool = False) -> rc.ConverseCovariance:
+    """draw_converse_cov written out as one Generator.uniform call per value."""
+    k00 = rng.uniform(0.0, 10.0)
+    k22 = rng.uniform(1e-6, ch.Q * 0.999999)
+    r = 1.0 if boundary else math.sqrt(rng.uniform(0.0, 1.0))
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    return rc.ConverseCovariance.from_rhos(k00, ch.Q - k22, k22,
+                                           r * math.cos(th), r * math.sin(th))
+
+
 def _reference_observed(cfg: Config, draws: int, samples: int, mc_sets: int,
                         seed: int) -> list[float]:
-    """The 12 observed errors of run_validation, one oracle call per draw."""
+    """The 12 observed errors of run_validation, one oracle call and one uniform call per draw."""
     ch, base = cfg.channel, cfg.log_base
     rng = np.random.Generator(np.random.PCG64(seed))
     err_rate, err_conv = 0.0, 0.0
     for _ in range(draws):
-        g, P, cp = draw_params(rng, ch)
+        g, P, cp = _scalar_params(rng, ch)
         r_closed = rc.rate_per_state(g, P, cp, ch, base)
         err_rate = max(err_rate, abs(r_closed - go.gp_rate_oracle(g, P, cp, ch, base)))
         K = rc.ConverseCovariance.from_rhos(P, ch.Q - cp.d, cp.d, cp.rho1, cp.rho2)
@@ -36,25 +59,25 @@ def _reference_observed(cfg: Config, draws: int, samples: int, mc_sets: int,
         err_conv = max(err_conv, abs(r_conv - r_closed) / max(abs(r_closed), 1e-12))
     err_dist, err_vyu, err_vssy, err_vy = 0.0, 0.0, 0.0, 0.0
     for _ in range(max(draws // 10, 100)):
-        g, P, cp = draw_params(rng, ch)
+        g, P, cp = _scalar_params(rng, ch)
         cov = go.build_covariance(g, P, cp, ch)
         err_dist = max(err_dist, abs(go.schur_conditional_variance(cov, "S", "U") - cp.d))
         vyu = rc.cond_var_y_given_u(g, P, cp, ch)
         err_vyu = max(err_vyu, abs(go.schur_conditional_variance(cov, "Y", "U") - vyu)
                       / max(vyu, 1e-12))
-        Kb = draw_converse_cov(rng, ch, boundary=True)
+        Kb = _scalar_converse(rng, ch, boundary=True)
         mb = go.converse_joint_covariance(g, Kb, ch)
         schur = go.schur_conditional_variance(mb, "S", ("Shat", "Y"),
                                               variables=go.CONVERSE_VARIABLES)
         closed = rc.cond_var_s_given_shat_y(g, Kb, ch)
         err_vssy = max(err_vssy, abs(schur - closed) / max(closed, 1e-12))
-        K = draw_converse_cov(rng, ch)
+        K = _scalar_converse(rng, ch)
         vy = rc.var_y(g, K, ch)
         err_vy = max(err_vy, abs(go.converse_joint_covariance(g, K, ch)[4, 4] - vy)
                      / max(vy, 1e-12))
     err_mc_var, err_mc_rate = 0.0, 0.0
     for i in range(mc_sets):
-        g, P, cp = draw_params(rng, ch, d_lo=1e-3 * ch.Q)
+        g, P, cp = _scalar_params(rng, ch, d_lo=1e-3 * ch.Q)
         est = go.mc_estimate(g, P, cp, ch, n=samples, seed=seed + 1 + i, base=base)
         err_mc_var = max(err_mc_var, abs(est.var_s_given_u - cp.d) / cp.d)
         err_mc_rate = max(err_mc_rate, abs(est.rate - rc.rate_per_state(g, P, cp, ch, base)))
@@ -73,6 +96,24 @@ def test_stacked_suites_match_the_per_draw_loop(seed):
     observed = [e["observed"] for e in report["identities"]]
     assert names == list(TOLERANCES)
     assert observed == _reference_observed(cfg, 300, 20_000, 2, seed)
+
+
+def test_block_draws_match_scalar_uniform_calls():
+    # a block drawn at once gives draw_params and draw_converse_cov the bits of
+    # one Generator.uniform call per value: rows of 12 as suite (iii) draws
+    # them, and rows of 5 with the Monte-Carlo suite's d_lo
+    m = 100_000
+    block = UniformBlock(np.random.Generator(np.random.PCG64(17)), (m, 12))
+    rng = np.random.Generator(np.random.PCG64(17))
+    stacked = [(*draw_params(block, CH), draw_converse_cov(block, CH, True),
+                draw_converse_cov(block, CH)) for _ in range(m)]
+    scalar = [(*_scalar_params(rng, CH), _scalar_converse(rng, CH, True),
+               _scalar_converse(rng, CH)) for _ in range(m)]
+    assert stacked == scalar
+    block = UniformBlock(np.random.Generator(np.random.PCG64(18)), (m, 5))
+    rng = np.random.Generator(np.random.PCG64(18))
+    assert ([draw_params(block, CH, 1e-3 * CH.Q) for _ in range(m)]
+            == [_scalar_params(rng, CH, 1e-3 * CH.Q) for _ in range(m)])
 
 
 @pytest.mark.parametrize("kwargs", [{"draws": 0}, {"draws": -5}, {"mc_sets": 0},
@@ -191,24 +232,30 @@ def test_stacked_checks_name_the_bad_row():
 
 
 def test_mc_estimate_matches_the_unfused_construction():
-    # the in-place sample build keeps every operation and its order
+    # the streamed normals are the unfused (4, n) array bit for bit, also with a
+    # partial last block; the covariance is reduced in another order than np.cov
     for g, P, cp, seed in ((1.2, 3.0, CodingParams(0.6, -0.3, 0.4), 5),
                            (0.3, 9.0, CodingParams(-0.9, 0.1, 0.02), 6),
                            (2.0, 0.5, CodingParams(0.0, 1.0, 0.999), 7)):
-        n = 20_000
-        est = go.mc_estimate(g, P, cp, CH, n=n, seed=seed)
-        c_u, c_t, vw = go._coefficients(P, cp, CH)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        z = ndtri(go._open_uniform(rng, (4, n)))
-        u = math.sqrt(CH.Q - cp.d) * z[0]
-        t = math.sqrt(cp.d) * z[1]
-        w = math.sqrt(vw) * z[2]
-        noise = math.sqrt(CH.sigma_z2) * z[3]
-        s = u + t
-        x = c_u * u + c_t * t + w
-        y = g * x + s + noise
-        cov = np.cov(np.vstack((u, t, s, x, y)))
-        assert np.array_equal(est.covariance, cov)
-        assert est.var_s_given_u == float(cov[2, 2] - cov[0, 2] ** 2 / cov[0, 0])
-        assert est.rate == float(go.mutual_information(cov, "U", "Y")
-                                 - go.mutual_information(cov, "U", "S"))
+        for n in (20_000, 3 * go.MC_BLOCK + 1):
+            est = go.mc_estimate(g, P, cp, CH, n=n, seed=seed)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            z = ndtri(go._open_uniform(rng.integers(0, 1 << 53, size=(4, n), dtype=np.int64)))
+            assert np.array_equal(np.hstack(list(go._normal_blocks(seed, n))), z)
+            vu = CH.Q - cp.d
+            c_u = cp.rho1 * math.sqrt(P / vu)
+            c_t = cp.rho2 * math.sqrt(P / cp.d)
+            vw = max(P - c_u * c_u * vu - c_t * c_t * cp.d, 0.0)
+            u = math.sqrt(vu) * z[0]
+            t = math.sqrt(cp.d) * z[1]
+            w = math.sqrt(vw) * z[2]
+            noise = math.sqrt(CH.sigma_z2) * z[3]
+            s = u + t
+            x = c_u * u + c_t * t + w
+            y = g * x + s + noise
+            cov = np.cov(np.vstack((u, t, s, x, y)))
+            assert np.max(np.abs(est.covariance - cov)) <= 1e-13 * np.max(np.abs(cov))
+            c = est.covariance
+            assert est.var_s_given_u == float(c[2, 2] - c[0, 2] ** 2 / c[0, 0])
+            assert est.rate == float(go.mutual_information(c, "U", "Y")
+                                     - go.mutual_information(c, "U", "S"))
