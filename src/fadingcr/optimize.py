@@ -26,11 +26,11 @@ The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
 to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
 mode takes the best psi of a 49-point scan, screened by weak duality, and
-refines it by a regula-falsi search for a zero of the envelope derivative
-dV/dpsi. Both modes run one search-and-recovery path (_solved) on one
-responses object per solve, which keeps each node's response to its last
-multiplier and starts its next power solve from it. All searches are
-deterministic.
+refines it by a safeguarded Newton search, on its exact envelope curvature,
+for a zero of the envelope derivative dV/dpsi. Both modes run one
+search-and-recovery path (_solved) on one responses object per solve, which
+keeps each node's response to its last multiplier and starts its next power
+solve from it. All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ CHUNK_ROWS = 2 ** 11
 #: either below 3e-13 or above 1e-7.
 RECOVERY_GAP = 1e-12
 
-#: Width in psi at which the fixed-rho search for dV/dpsi = 0 stops.
-PSI_TOL = 1e-6
+#: Width in psi at which the fixed-rho search for dV/dpsi = 0 stops: its bracket's, or
+#: its predicted Newton step's, which leaves V about |V''| PSI_TOL^2 / 2 short.
+PSI_TOL = 1e-7
 
 
 class UnreachableError(RuntimeError):
@@ -109,7 +110,8 @@ def _into_disk(r1: float, r2: float) -> tuple[float, float]:
 
 @dataclass
 class _Response:
-    """Per-node best response to a multiplier: rates, powers, rho pair and dP/dlam.
+    """Per-node best response to a multiplier: rates, powers, rho pair, dP/dlam and the
+    row each element took (pick; set only in a FixedRho's responses to a multiplier).
 
     dpower defaults to zeros, the value of a response without a derivative.
     """
@@ -119,6 +121,7 @@ class _Response:
     rho1: np.ndarray
     rho2: np.ndarray
     dpower: np.ndarray | None = None
+    pick: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dpower is None:
@@ -210,8 +213,8 @@ def _take(new: _Response, old: _Response, rows: np.ndarray) -> _Response:
     if not rows.any():
         return old
     r = rows[:, None]
-    return _Response(*(np.where(r, getattr(new, f.name), getattr(old, f.name))
-                       for f in dataclasses.fields(new)))
+    pairs = ((getattr(new, f.name), getattr(old, f.name)) for f in dataclasses.fields(new))
+    return _Response(*(None if a is None or b is None else np.where(r, a, b) for a, b in pairs))
 
 
 def _concat(rs: Sequence[_Response]) -> _Response:
@@ -328,13 +331,19 @@ def _illinois(fun: Callable, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: n
         i = np.flatnonzero(active)
         x = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
         fx = fun(i, x)
-        pos = np.where(fa[i] > 0.0, fx > 0.0, fx < 0.0)
-        fb[i] = np.where(pos & (side[i] > 0), 0.5 * fb[i], fb[i])
-        fa[i] = np.where(~pos & (side[i] < 0), 0.5 * fa[i], fa[i])
-        a[i], fa[i] = np.where(pos, x, a[i]), np.where(pos, fx, fa[i])
-        b[i], fb[i] = np.where(pos, b[i], x), np.where(pos, fb[i], fx)
-        side[i] = np.where(pos, 1.0, -1.0)
+        _narrow(i, x, fx, a, b, fa, fb, side)
         active[i] = (b[i] - a[i] > tol) & (fx != 0.0)
+
+
+def _narrow(i, x, fx, a, b, fa, fb, side) -> None:
+    """The Illinois step of brackets i, in place, as in _illinois; side is +1 (-1) where x
+    last replaced a (b)."""
+    pos = np.where(fa[i] > 0.0, fx > 0.0, fx < 0.0)
+    fb[i] = np.where(pos & (side[i] > 0), 0.5 * fb[i], fb[i])
+    fa[i] = np.where(~pos & (side[i] < 0), 0.5 * fa[i], fa[i])
+    a[i], fa[i] = np.where(pos, x, a[i]), np.where(pos, fx, fa[i])
+    b[i], fb[i] = np.where(pos, b[i], x), np.where(pos, fb[i], fx)
+    side[i] = np.where(pos, 1.0, -1.0)
 
 
 def _recover(rebuild: Callable, weights: np.ndarray, target: np.ndarray, resp: _Response,
@@ -428,18 +437,21 @@ def _response(nodes: FixedRho | AdaptiveRho, P: np.ndarray, psi=None) -> _Respon
 def _solved(nodes: FixedRho | AdaptiveRho, w: np.ndarray, target: float, start: float,
             floor: float, rate: bool, hint: tuple | None = None, stop: Callable | None = None):
     """_dual_solve from hint (or from the marginal rates at the budget start) and _recover
-    over the problems of nodes: the responses, certified gaps, multipliers and brackets."""
+    over the problems of nodes: the responses, certified gaps, multipliers, brackets and,
+    of a FixedRho, the elements whose rows differ at the bracket's ends (None otherwise)."""
     targets = np.full(nodes.g.size // nodes.n, target)
     if hint is None:
         hint = _marginal_hint(nodes.marginal(math.sqrt(start)).reshape(-1, nodes.n), w)
 
     def respond(lam):
-        P, psi, dP = nodes.powers(lam)
-        return dataclasses.replace(_response(nodes, P, psi), dpower=dP.reshape(-1, nodes.n))
+        P, aux, dP = nodes.powers(lam)  # aux: FixedRho's picked rows, AdaptiveRho's psi*
+        pick = aux.reshape(-1, nodes.n) if isinstance(nodes, FixedRho) else None
+        return dataclasses.replace(_response(nodes, P, aux), dpower=dP.reshape(-1, nodes.n),
+                                   pick=pick)
 
     resp, other, lam, (lo, hi) = _dual_solve(respond, w, targets, hint, floor, rate, stop)
     return (*_recover(lambda P: _response(nodes, P), w, targets, resp, other, lo, hi, rate),
-            lam, lo, hi)
+            lam, lo, hi, None if resp.pick is None else resp.pick != other.pick)
 
 
 def _screen_bounds(lam: np.ndarray, r: _Response, weights: np.ndarray, target: float,
@@ -477,43 +489,59 @@ def _screen_bounds(lam: np.ndarray, r: _Response, weights: np.ndarray, target: f
 
 
 def _screened(dom: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
-    """The problems of a chunk of a k-point psi scan that its screen stops: those
-    dominated (dom) whose psi-neighbours are dominated too, at psi indices at.
-    A neighbour beyond the grid's end counts as dominated, one in another chunk
-    as not. So the scan's argmax and both its neighbours are always solved."""
+    """The problems of a chunk of whole k-point psi scans that its screen stops: those
+    dominated (dom) whose psi-neighbours are dominated too, at psi indices at. A
+    neighbour beyond the grid's end counts as dominated. So the scan's argmax and both
+    its neighbours are always solved."""
     nb = np.r_[False, dom, False]
     return dom & ((at == 0) | nb[:-2]) & ((at == k - 1) | nb[2:])
+
+
+def _envelope(nodes: FixedRho, P: np.ndarray, p: np.ndarray, w: np.ndarray, lam: np.ndarray,
+              rate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """dV/dpsi = f = sum_i w_i R_psi of problems p at their powers P (unbounded ones count
+    as 0), and its curvature f' along the row's solution. An interior node (P_i > 0,
+    R_PP < 0) keeps R_P = lam, so it moves by dP_i/dpsi = D_i (lam' - R_Ppsi) with
+    D_i = 1/R_PP (0 at other nodes): f' = sum_i w_i [R_psipsi + R_Ppsi D_i (lam' - R_Ppsi)],
+    where the row fixes lam' = (sum_i w_i D_i R_Ppsi + s) / sum_i w_i D_i, with s = 0
+    on the budget row and s = -f/lam on the rate row."""
+    P = np.where(np.isfinite(P), P, 0.0)
+    r_p, r_pp, r_xp, r_xx = nodes.psi_terms(P, p)
+    f, inner = _wsum(r_p, w), (P > 0.0) & (r_xx < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dr, D = np.where(inner, r_xp / r_xx, 0.0), np.where(inner, 1.0 / r_xx, 0.0)
+        lam1 = (_wsum(dr, w) + (-f / lam if rate else 0.0)) / _wsum(D, w)
+        return f, _wsum(r_pp + np.where(inner, dr * (lam1[:, None] - r_xp), 0.0), w)
 
 
 def _solve_fixed(g, w, ds, target, ch, base, start=None):
     """Shared-(rho1, rho2) mode for every distortion in ds at once.
 
-    Each (d, psi) problem meets one constraint row (_dual_solve): the budget
-    target or, when start is given, the rate target at the least spent
-    power, with the multiplier search started from the marginal rates at
-    the budget start. A problem's score is its rate within the budget, or
-    minus its spent power where it reaches the rate target (-inf elsewhere).
-    Per distortion: a 49-point rho2 scan ranked by score, then an Illinois
-    regula-falsi search for dV/dpsi = 0 between the scan's best and the
-    neighbour across which the slope changes sign. The scan is screened by
-    weak duality (_screen_bounds): each response bounds its problem's score,
-    and a problem whose bound lies below the best score that the scan
-    certainly reaches at its distortion, and whose psi-neighbours' bounds do
-    too, stops at its current multiplier and scores -inf. The scan's argmax,
-    both its neighbours and every problem with a neighbour in another chunk
-    always finish, with the same multipliers as unscreened, so the screen
-    changes no output bit. dV/dpsi is the envelope derivative
-    sum_i w_i dR_i/dpsi at the recovered powers; for a rate
-    target the spent power has the envelope derivative -dV/dpsi / lam, so
-    the same search serves. Every stage is one batched multiplier search
-    plus primal recovery over its independent (d, psi) problems, CHUNK_ROWS
-    (problem, node) rows at a time. A refinement problem whose certified gap
-    exceeds RECOVERY_GAP is solved again once for each row of each node
-    whose chosen row differs at the bracket's ends, with that node held on
-    that row (FixedRho.hold) and the others free; the best score wins, and
-    its gap is the first solve's bound minus its score (in rate units).
-    Returns the responses (one row per distortion), the multipliers and the
-    certified duality gaps.
+    Each (d, psi) problem meets one constraint row (_dual_solve): the budget target or,
+    when start is given, the rate target at the least spent power, with the multiplier
+    search started from the marginal rates at the budget start. A problem's score is its
+    rate within the budget, or minus its spent power where it reaches the rate target
+    (-inf elsewhere). Per distortion: a 49-point rho2 scan ranked by score, then a
+    safeguarded Newton search for dV/dpsi = 0 from the scan's best, inside the bracket
+    between it and the neighbour across which the slope changes sign. dV/dpsi is the
+    envelope derivative sum_i w_i dR_i/dpsi at the recovered powers and f' its curvature
+    (_envelope); for a rate target the spent power has the envelope derivative
+    -dV/dpsi / lam, so the same search serves. A step goes to -f/f' where f' < 0 and it
+    stays inside the bracket, and to the Illinois regula-falsi point otherwise, until the
+    bracket or the predicted step is within PSI_TOL or f = 0; the best score evaluated
+    wins. The scan is screened by weak duality (_screen_bounds): a problem whose bound
+    lies below the best score that the scan certainly reaches at its distortion, and
+    whose psi-neighbours' bounds do too, stops at its current multiplier and scores
+    -inf. The scan's argmax and both its neighbours always finish, with the same
+    multipliers as unscreened, so the screen changes no output bit. Every stage is one
+    batched multiplier search plus primal recovery over its independent (d, psi)
+    problems, CHUNK_ROWS (problem, node) rows at a time; a chunk of the scan holds whole
+    49-point scans, at least one. A refinement problem whose certified gap exceeds
+    RECOVERY_GAP is solved again once for each row of each node whose chosen row differs
+    at the bracket's ends, with that node held on that row (FixedRho.hold) and the
+    others free; the best score wins, and its gap is the first solve's bound minus its
+    score (in rate units). Returns the responses (one row per distortion), the
+    multipliers and the certified duality gaps.
     """
     rate, start = start is not None, target if start is None else start
     psi_grid = np.arcsin(np.linspace(-1.0, 1.0, 49))
@@ -537,7 +565,7 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
         per-distortion best score that the scan certainly reaches and the
         index of the chunk's first problem in the d-major (d, psi) grid."""
         nodes = problems(d, psi)
-        stop = None
+        stop, live = None, np.arange(d.size)
         if scan is not None:
             sure, first = scan
             j = np.arange(first, first + d.size)
@@ -549,19 +577,19 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
                 dom[:] |= bound + margin < sure[di]
                 return _screened(dom, j % k, k)
 
-        resp, gap, lam, lo, hi = _solved(nodes, w, target, start, floor, rate, hint, stop)
+        resp, gap, lam, lo, hi, jump = _solved(nodes, w, target, start, floor, rate, hint, stop)
         best = score(resp)
         if scan is not None:
             # a screened problem's score lies below the scan's best: it drops out
-            best[_screened(dom, j % k, k)] = -np.inf
+            cut = _screened(dom, j % k, k)
+            best[cut], live = -np.inf, np.flatnonzero(~cut)
             np.maximum.at(sure, di, best)
         # the scan only ranks, so its gaps get no held re-solves
         redo = keep & (lo > 0.0) & (gap > RECOVERY_GAP)
         if redo.any():
             # every row of each node whose chosen row differs at lo and hi, save
             # those whose lowest power alone spends the budget (or the spend to beat)
-            jump = nodes.powers(np.where(redo, lo, hi))[1] != nodes.powers(hi)[1]
-            row = np.flatnonzero(jump[nodes.elem])
+            row = np.flatnonzero((jump & redo[:, None]).reshape(-1)[nodes.elem])
             cap = _wsum(resp.power, w) if rate else np.full(lo.size, target)
             row = row[w[nodes.elem[row] % g.size] * nodes.xl[row] ** 2
                       < cap[nodes.elem[row] // g.size]]
@@ -578,52 +606,57 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
                     if v[i] > best[q]:
                         best[q], gap[q] = v[i], bound[q] - unit[q] * v[i]
                         resp.value[q], resp.power[q] = r.value[i], r.power[i]
-        # an unreachable rate target can leave unbounded powers, whose slope is moot
-        P = np.where(np.isfinite(resp.power), resp.power, 0.0)
-        return (best, _wsum(nodes.slope(P), w), lo * 0.997, hi * 1.003, lam,
-                gap) + ((resp,) if keep else ())
+        # dV/dpsi and its curvature, only where they can be read
+        f, df = np.full(d.size, np.nan), np.full(d.size, np.nan)
+        f[live], df[live] = _envelope(nodes, resp.power[live], live, w, lam[live], rate)
+        return (best, f, df, lo * 0.997, hi * 1.003, lam, gap) + ((resp,) if keep else ())
 
     def solve(d, psi, floor, hint=None, keep=False, sure=None):
-        """Recovered solves of problems (d, psi): scores, slopes dV/dpsi, widened
-        brackets, multipliers, gaps and, when keep, the responses. sure, for
-        the coarse scan, screens it (chunk)."""
+        """Recovered solves of problems (d, psi): scores, slopes dV/dpsi and curvatures,
+        widened brackets, multipliers, gaps and, when keep, the responses. sure, for the
+        coarse scan, screens it (chunk), whose chunks hold whole scans."""
+        size = step if sure is None else k * max(1, CHUNK_ROWS // (k * g.size))
         out = [chunk(d[c], psi[c], floor, None if hint is None else (hint[0][c], hint[1][c]),
                      keep, None if sure is None else (sure, c.start))
-               for c in (slice(s, s + step) for s in range(0, d.size, step))]
-        cat = [np.concatenate(z) for z in list(zip(*out))[:6]]
+               for c in (slice(s, s + size) for s in range(0, d.size, size))]
+        cat = [np.concatenate(z) for z in list(zip(*out))[:7]]
         if keep:
-            cat.append(_concat([o[6] for o in out]))
+            cat.append(_concat([o[7] for o in out]))
         return cat
 
     # the scan ranks the grid's psi values: after the recovery a bracket floor
     # of 1e-3 leaves its rates off by O(1e-6 lam B)
-    coarse, c_slope, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size), 1e-3,
-                                              sure=np.full(ds.size, -np.inf))
+    coarse, c_slope, _, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size),
+                                                 1e-3, sure=np.full(ds.size, -np.inf))
     row = np.arange(ds.size) * k
     basin = np.argmax(coarse.reshape(ds.size, k), axis=1)
-    best_v, f0, h_lo, h_hi, lam, gap, resp = solve(
-        ds, psi_grid[basin], RECOVERY_FLOOR, (c_lo[row + basin], c_hi[row + basin]), True)
+    x = psi_grid[basin]
+    best_v, fx, dfx, h_lo, h_hi, lam, gap, resp = solve(
+        ds, x, RECOVERY_FLOOR, (c_lo[row + basin], c_hi[row + basin]), True)
     # bracket [a, b] between the basin and the neighbour across which dV/dpsi
     # changes sign; a basin without one keeps its grid point
-    right = f0 > 0.0
+    right = fx > 0.0
     nb = np.where(right, np.minimum(basin + 1, k - 1), np.maximum(basin - 1, 0))
     f_nb = c_slope[row + nb]
-    a, b = np.where(right, psi_grid[basin], psi_grid[nb]), np.where(right, psi_grid[nb],
-                                                                     psi_grid[basin])
-    fa, fb = np.where(right, f0, f_nb), np.where(right, f_nb, f0)
-
-    def at(i, x):
-        v, fx, h_lo[i], h_hi[i], lm, gp, r = solve(ds[i], x, RECOVERY_FLOOR,
-                                                   (h_lo[i], h_hi[i]), True)
+    a, b = np.where(right, x, psi_grid[nb]), np.where(right, psi_grid[nb], x)
+    fa, fb = np.where(right, fx, f_nb), np.where(right, f_nb, fx)
+    act, side = (fa > 0.0) & (fb < 0.0), np.zeros(ds.size)
+    for _ in range(60):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = -fx / dfx
+        act &= (b - a > PSI_TOL) & (fx != 0.0) & ~((dfx < 0.0) & (np.abs(dx) <= PSI_TOL))
+        if not act.any():
+            break
+        i = np.flatnonzero(act)
+        ok = (dfx[i] < 0.0) & (a[i] < x[i] + dx[i]) & (x[i] + dx[i] < b[i])
+        x[i] = np.where(ok, x[i] + dx[i], b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i]))
+        v, fx[i], dfx[i], h_lo[i], h_hi[i], lm, gp, r = solve(ds[i], x[i], RECOVERY_FLOOR,
+                                                              (h_lo[i], h_hi[i]), True)
         up = v > best_v[i]
-        best_v[i] = np.where(up, v, best_v[i])
-        lam[i] = np.where(up, lm, lam[i])
-        gap[i] = np.where(up, gp, gap[i])
+        best_v[i[up]], lam[i[up]], gap[i[up]] = v[up], lm[up], gp[up]
         for f in ("value", "power", "rho1", "rho2"):
-            getattr(resp, f)[i] = np.where(up[:, None], getattr(r, f), getattr(resp, f)[i])
-        return fx
-
-    _illinois(at, a, b, fa, fb, (fa > 0.0) & (fb < 0.0), PSI_TOL)
+            getattr(resp, f)[i[up]] = getattr(r, f)[up]
+        _narrow(i, x[i], fx[i], a, b, fa, fb, side)
     return resp, lam, gap
 
 

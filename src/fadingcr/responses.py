@@ -403,15 +403,13 @@ class FixedRho:
             self.marginal(self.xr, e), 0.0), 0.0))
         # the rows whose branch ends at a root x_r of N, where the power solve
         # runs in the distance v = -ln(y_r - y) to that end (_stationary); and
-        # per row (n_a, k, x_r, y_r) of N = n_a + d (k + n2 x): d = x - x_r and
+        # per row (n_a, k) of N = n_a + d (k + n2 x): d = x - x_r and
         # N = (x - x_r)(n2 x - n0 / x_r) there, d = x and N = n0 + x (n1 + n2 x)
-        # elsewhere, with x_r = y_r = 0
+        # elsewhere
         self.at_root = at_root & np.isfinite(self.xr)
-        xr = np.where(self.at_root, self.xr, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             self._nterms = np.vstack([np.where(self.at_root, 0.0, n0[e]),
-                                      np.where(self.at_root, -n0[e] / xr, n1[e]), xr,
-                                      np.where(self.at_root, 2.0 * np.log(xr), 0.0)])
+                                      np.where(self.at_root, -n0[e] / self.xr, n1[e])])
 
         rows = self.elem.size
         # each row's multiplier, power and dP/dlam at its last response
@@ -445,20 +443,22 @@ class FixedRho:
         slope = np.zeros(rows.size)
 
         def fun(z, i):
-            # ln(m / lam) and its slope over z (v or y), -inf where N <= 0
-            ri = rows[i]
-            _, n1, n2, a0, a1, a2, b0, b1, b2 = self.coef[:, self.elem[ri]]
-            na, k, r, ye = self._nterms[:, ri]
-            e, li = end[i], lam[i]
+            # ln(m / lam) and its slope over z (v or y), -inf where N <= 0; each
+            # coefficient is gathered where it is used, so few are held at once
+            ri, e, li, co = rows[i], end[i], lam[i], self.coef
+            el = self.elem[ri]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 t = np.exp(-z)  # y_r - y where e
-                x = np.exp(0.5 * np.where(e, ye - t, z))
+                x = np.exp(0.5 * np.where(e, yr[i] - t, z))
                 # d = x - x_r from t itself where e
-                nv = na + np.where(e, r * np.expm1(-0.5 * t), x) * (k + n2 * x)
-                av, bv = a0 + x * (a1 + x * a2), b0 + x * (b1 + x * b2)
-                dlog = x * ((a1 + 2.0 * a2 * x) / av + (b1 + 2.0 * b2 * x) / bv)
+                nv = self._nterms[0, ri] + np.where(e, self.xr[ri] * np.expm1(-0.5 * t), x) * (
+                    self._nterms[1, ri] + co[2, el] * x)
+                av, bv = co[3, el] + x * (co[4, el] + x * co[5, el]), co[6, el] + x * (
+                    co[7, el] + x * co[8, el])
+                dlog = x * ((co[4, el] + 2.0 * co[5, el] * x) / av
+                            + (co[7, el] + 2.0 * co[8, el] * x) / bv)
                 ratio = self.c * nv / (2.0 * li * x * av * bv)
-                s = slope[i] = 0.5 * (x * (n1 + 2.0 * n2 * x) / nv - 1.0 - dlog)
+                s = slope[i] = 0.5 * (x * (co[1, el] + 2.0 * co[2, el] * x) / nv - 1.0 - dlog)
                 return (np.where(nv > 0.0, np.log(np.maximum(ratio, 0.0)), -np.inf),
                         np.where(e, t, 1.0) * s)
 
@@ -504,8 +504,9 @@ class FixedRho:
         # per element, the first row of largest c*ln(A/B) - lam*P (the rate up to a constant)
         fin = np.isfinite(P)
         x = np.sqrt(np.where(fin, P, 0.0))
-        _, _, _, a0, a1, a2, b0, b1, b2 = self.coef[:, e]
-        score = np.where(fin, self.c * np.log((a0 + x * (a1 + x * a2)) / (b0 + x * (b1 + x * b2)))
+        co = self.coef  # gathered a row at a time, as in _stationary
+        score = np.where(fin, self.c * np.log((co[3, e] + x * (co[4, e] + x * co[5, e]))
+                                              / (co[6, e] + x * (co[7, e] + x * co[8, e])))
                          - lr * np.where(fin, P, 0.0), np.inf)
         if not fin.all():
             # an unbounded power (lam = 0) scores its limit
@@ -522,8 +523,13 @@ class FixedRho:
         with np.errstate(divide="ignore"):
             return self.c * np.log(self.coef[5, e] / self.coef[8, e])
 
-    def slope(self, P: np.ndarray) -> np.ndarray:
-        """dR/dpsi of every element at powers P, shaped like P."""
-        psi = np.arctan2(self.rho2, self.rho1)
-        return self.c * arc_terms(self.g, np.sqrt(P.reshape(-1)), psi, self.d,
-                                  self.ch)[2].reshape(P.shape)
+    def psi_terms(self, P: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+        """R_psi, R_psipsi, R_Ppsi = c f_xpsi / (2x) and R_PP = c (x f_xx - f_x) / (4x^3) (not
+        finite at x = sqrt(P) = 0) of the elements of problems p at powers P, shaped like P."""
+        e = (p[:, None] * self.n + np.arange(self.n)).reshape(-1)
+        x = np.sqrt(P.reshape(-1))
+        fx, fxx, fp, fpp, fxp = arc_terms(self.g[e], x, np.arctan2(self.rho2[e], self.rho1[e]),
+                                          self.d[e], self.ch)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = (fp, fpp, fxp / (2.0 * x), (x * fxx - fx) / (4.0 * x ** 3))
+        return tuple(self.c * t.reshape(P.shape) for t in terms)

@@ -778,6 +778,54 @@ def test_fixed_rho_frontier_working_set_is_bounded():
     assert peak < 2e6
 
 
+def test_fixed_rho_whole_scan_chunks_working_set_is_bounded():
+    # at 128 nodes one distortion's 49-point psi scan is 6,272 rows, over
+    # CHUNK_ROWS: its chunk still holds the whole scan, and no more than that
+    make_rule(Rayleigh(), 128)
+    tracemalloc.start()
+    try:
+        rd_frontier(CH, Rayleigh(), 2.5, grid=np.geomspace(1e-3, 1.0, 12), nodes=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+def test_fixed_rho_frontier_build_count(monkeypatch):
+    # a 4-point Rayleigh-64 frontier builds one FixedRho per distortion's psi
+    # scan, one for the four basins and one per Newton round of the psi search;
+    # scans split across chunks and a regula-falsi search took 15
+    builds = []
+    init = responses.FixedRho.__init__
+    monkeypatch.setattr(responses.FixedRho, "__init__",
+                        lambda self, *args: builds.append(1) or init(self, *args))
+    rd_frontier(CH, Rayleigh(), 2.5, grid=np.geomspace(1e-3, 1.0, 4), nodes=64)
+    assert len(builds) <= 8
+
+
+@pytest.mark.parametrize("rate", [False, True], ids=["budget", "rate"])
+def test_psi_curvature_matches_central_differences(rate):
+    # the envelope curvature of dV/dpsi along the row's solution, from the
+    # partials at one psi, against central differences of dV/dpsi itself, each
+    # point solved to RECOVERY_FLOOR; on the rate row lam is its bracket's end
+    law3 = Discrete(points=(0.3, 1.0, 2.2), probs=(0.2, 0.5, 0.3))
+    h = 1e-5
+    target, start = (0.3, CH.sigma_z2) if rate else (2.5, 2.5)
+    for law, n in ((Rayleigh(), 64), (law3, 1)):
+        rule = make_rule(law, n)
+        g, w = np.array(rule.nodes), np.array(rule.weights)
+        for d in (0.3, 0.91):
+            for psi in (-0.3, 0.4):
+                x = psi + np.array([0.0, -h, h])
+                nodes = responses.FixedRho(np.tile(g, 3), np.full(3 * g.size, d),
+                                           np.repeat(x, g.size), g.size, CH, 2.0)
+                resp, _, lam, *_ = optimize._solved(nodes, w, target, start,
+                                                    optimize.RECOVERY_FLOOR, rate)
+                f, df = optimize._envelope(nodes, resp.power, np.arange(3), w, lam, rate)
+                central = (f[2] - f[1]) / (2.0 * h)
+                assert abs(df[0] - central) <= 1e-6 * abs(central), (law, d, psi)
+
+
 def test_adaptive_frontier_working_set_is_bounded():
     # an adaptive-rho grid is one batch solved CHUNK_ROWS (d, node) rows at a
     # time: 100 points at 64 nodes take four chunks (4.5 MB traced as one
