@@ -179,7 +179,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     else:
         d_grid = list(np.geomspace(0.05 * ch.Q, ch.Q, args.dgrid_count))
     if any(not (ch.d_min <= d <= ch.Q) for d in d_grid):
-        print(f"error: distortions must lie in ({ch.d_min:g}, {ch.Q:g}]", file=sys.stderr)
+        print(f"error: distortions must lie in [{ch.d_min:g}, {ch.Q:g}]", file=sys.stderr)
         return EXIT_BAD_INPUT
 
     curve = power_distortion_curve(ch, cfg.fading, args.rate, d_grid, mode=args.mode,

@@ -26,8 +26,9 @@ The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
 to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
 mode takes the best psi of a 49-point scan, screened by weak duality, and
-refines it by a safeguarded Newton search, on its exact envelope curvature,
-for a zero of the envelope derivative dV/dpsi. Both modes run one
+refines it between its grid neighbours by a bracketed Newton search
+(responses.newton), on its exact envelope curvature, for a zero of the
+envelope derivative dV/dpsi. Both modes run one
 search-and-recovery path (_solved) on one responses object per solve, which
 keeps each node's response to its last multiplier and starts its next power
 solve from it. All searches are deterministic.
@@ -45,7 +46,7 @@ import numpy as np
 from .ergodic import make_rule
 from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy, in_disk
 from .rate_core import _rate_kernel
-from .responses import AdaptiveRho, FixedRho, arc_psi
+from .responses import AdaptiveRho, FixedRho, arc_psi, newton
 
 MODES = ("fixed-rho", "adaptive-rho")
 
@@ -84,8 +85,8 @@ CHUNK_ROWS = 2 ** 11
 #: either below 3e-13 or above 1e-7.
 RECOVERY_GAP = 1e-12
 
-#: Width in psi at which the fixed-rho search for dV/dpsi = 0 stops: its bracket's, or
-#: its predicted Newton step's, which leaves V about |V''| PSI_TOL^2 / 2 short.
+#: Width in psi at which the fixed-rho Newton search for dV/dpsi = 0 stops: its
+#: bracket's, or its step's, which leaves V about |V''| PSI_TOL^2 / 2 short.
 PSI_TOL = 1e-7
 
 
@@ -331,19 +332,13 @@ def _illinois(fun: Callable, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: n
         i = np.flatnonzero(active)
         x = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
         fx = fun(i, x)
-        _narrow(i, x, fx, a, b, fa, fb, side)
+        pos = np.where(fa[i] > 0.0, fx > 0.0, fx < 0.0)
+        fb[i] = np.where(pos & (side[i] > 0), 0.5 * fb[i], fb[i])
+        fa[i] = np.where(~pos & (side[i] < 0), 0.5 * fa[i], fa[i])
+        a[i], fa[i] = np.where(pos, x, a[i]), np.where(pos, fx, fa[i])
+        b[i], fb[i] = np.where(pos, b[i], x), np.where(pos, fb[i], fx)
+        side[i] = np.where(pos, 1.0, -1.0)
         active[i] = (b[i] - a[i] > tol) & (fx != 0.0)
-
-
-def _narrow(i, x, fx, a, b, fa, fb, side) -> None:
-    """The Illinois step of brackets i, in place, as in _illinois; side is +1 (-1) where x
-    last replaced a (b)."""
-    pos = np.where(fa[i] > 0.0, fx > 0.0, fx < 0.0)
-    fb[i] = np.where(pos & (side[i] > 0), 0.5 * fb[i], fb[i])
-    fa[i] = np.where(~pos & (side[i] < 0), 0.5 * fa[i], fa[i])
-    a[i], fa[i] = np.where(pos, x, a[i]), np.where(pos, fx, fa[i])
-    b[i], fb[i] = np.where(pos, b[i], x), np.where(pos, fb[i], fx)
-    side[i] = np.where(pos, 1.0, -1.0)
 
 
 def _recover(rebuild: Callable, weights: np.ndarray, target: np.ndarray, resp: _Response,
@@ -497,16 +492,16 @@ def _screened(dom: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
     return dom & ((at == 0) | nb[:-2]) & ((at == k - 1) | nb[2:])
 
 
-def _envelope(nodes: FixedRho, P: np.ndarray, p: np.ndarray, w: np.ndarray, lam: np.ndarray,
+def _envelope(nodes: FixedRho, P: np.ndarray, w: np.ndarray, lam: np.ndarray,
               rate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """dV/dpsi = f = sum_i w_i R_psi of problems p at their powers P (unbounded ones count
+    """dV/dpsi = f = sum_i w_i R_psi of every problem at its powers P (unbounded ones count
     as 0), and its curvature f' along the row's solution. An interior node (P_i > 0,
     R_PP < 0) keeps R_P = lam, so it moves by dP_i/dpsi = D_i (lam' - R_Ppsi) with
     D_i = 1/R_PP (0 at other nodes): f' = sum_i w_i [R_psipsi + R_Ppsi D_i (lam' - R_Ppsi)],
     where the row fixes lam' = (sum_i w_i D_i R_Ppsi + s) / sum_i w_i D_i, with s = 0
     on the budget row and s = -f/lam on the rate row."""
     P = np.where(np.isfinite(P), P, 0.0)
-    r_p, r_pp, r_xp, r_xx = nodes.psi_terms(P, p)
+    r_p, r_pp, r_xp, r_xx = nodes.psi_terms(P)
     f, inner = _wsum(r_p, w), (P > 0.0) & (r_xx < 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         dr, D = np.where(inner, r_xp / r_xx, 0.0), np.where(inner, 1.0 / r_xx, 0.0)
@@ -521,27 +516,24 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
     when start is given, the rate target at the least spent power, with the multiplier
     search started from the marginal rates at the budget start. A problem's score is its
     rate within the budget, or minus its spent power where it reaches the rate target
-    (-inf elsewhere). Per distortion: a 49-point rho2 scan ranked by score, then a
-    safeguarded Newton search for dV/dpsi = 0 from the scan's best, inside the bracket
-    between it and the neighbour across which the slope changes sign. dV/dpsi is the
-    envelope derivative sum_i w_i dR_i/dpsi at the recovered powers and f' its curvature
-    (_envelope); for a rate target the spent power has the envelope derivative
-    -dV/dpsi / lam, so the same search serves. A step goes to -f/f' where f' < 0 and it
-    stays inside the bracket, and to the Illinois regula-falsi point otherwise, until the
-    bracket or the predicted step is within PSI_TOL or f = 0; the best score evaluated
-    wins. The scan is screened by weak duality (_screen_bounds): a problem whose bound
-    lies below the best score that the scan certainly reaches at its distortion, and
-    whose psi-neighbours' bounds do too, stops at its current multiplier and scores
-    -inf. The scan's argmax and both its neighbours always finish, with the same
-    multipliers as unscreened, so the screen changes no output bit. Every stage is one
-    batched multiplier search plus primal recovery over its independent (d, psi)
-    problems, CHUNK_ROWS (problem, node) rows at a time; a chunk of the scan holds whole
-    49-point scans, at least one. A refinement problem whose certified gap exceeds
-    RECOVERY_GAP is solved again once for each row of each node whose chosen row differs
-    at the bracket's ends, with that node held on that row (FixedRho.hold) and the
-    others free; the best score wins, and its gap is the first solve's bound minus its
-    score (in rate units). Returns the responses (one row per distortion), the
-    multipliers and the certified duality gaps.
+    (-inf elsewhere). Two stages per distortion. The scan ranks a 49-point rho2 grid and
+    keeps only its best psi (the basin) and that problem's multiplier bracket; a chunk
+    holds whole scans, as many as fit CHUNK_ROWS and at least one. It is screened by weak
+    duality (_screen_bounds): a problem whose bound, and both its psi-neighbours' bounds,
+    lie below the best score that the scan certainly reaches at its distortion stops at
+    its current multiplier and scores -inf. The argmax and both its neighbours always
+    finish, with the same multipliers as unscreened, so the screen changes no output bit.
+    The refinement is one bracketed Newton search (responses.newton) from the basin,
+    between its grid neighbours, for a zero of dV/dpsi = sum_i w_i dR_i/dpsi at the
+    recovered powers, on its exact curvature (_envelope); for a rate target the spent
+    power's envelope derivative is -dV/dpsi / lam, so the same search serves. It stops
+    once its bracket or its step is within PSI_TOL or dV/dpsi = 0, and the best score it
+    evaluated wins. Each round solves CHUNK_ROWS (problem, node) rows at a time. A
+    problem whose certified gap exceeds RECOVERY_GAP is solved again once for each row of
+    each node whose chosen row differs at the bracket's ends, with that node held on that
+    row (FixedRho.hold) and the others free; the best score wins, and its gap is the
+    first solve's bound minus its score (in rate units). Returns the responses (one row
+    per distortion), the multipliers and the certified duality gaps.
     """
     rate, start = start is not None, target if start is None else start
     psi_grid = np.arcsin(np.linspace(-1.0, 1.0, 49))
@@ -559,33 +551,36 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
             return np.where(value >= target, -spent, -np.inf)
         return np.where(spent <= target * (1.0 + BUDGET_TOL), value, -np.inf)
 
-    def chunk(d, psi, floor, hint, keep, scan=None):
-        """One chunk of solve, over problems (d, psi). Its FixedRho is freed
-        before the next chunk's is made. scan, for the coarse scan, is the
-        per-distortion best score that the scan certainly reaches and the
-        index of the chunk's first problem in the d-major (d, psi) grid."""
-        nodes = problems(d, psi)
-        stop, live = None, np.arange(d.size)
-        if scan is not None:
-            sure, first = scan
-            j = np.arange(first, first + d.size)
-            di, dom = j // k, np.zeros(d.size, dtype=bool)
+    def scan(d):
+        """The basin of each distortion d's psi scan and its multiplier bracket.
+        The scan only ranks: after the recovery a bracket floor of 1e-3 leaves its rates
+        off by O(1e-6 lam B). Its FixedRho is freed before the next chunk's is made."""
+        at, di = np.tile(np.arange(k), d.size), np.repeat(np.arange(d.size), k)
+        nodes = problems(np.repeat(d, k), psi_grid[at])
+        sure, dom = np.full(d.size, -np.inf), np.zeros(at.size, dtype=bool)
 
-            def stop(lam, r):
-                reach, bound, margin = _screen_bounds(lam, r, w, target, rate)
-                np.maximum.at(sure, di, reach)
-                dom[:] |= bound + margin < sure[di]
-                return _screened(dom, j % k, k)
+        def stop(lam, r):
+            reach, bound, margin = _screen_bounds(lam, r, w, target, rate)
+            np.maximum.at(sure, di, reach)
+            dom[:] |= bound + margin < sure[di]
+            return _screened(dom, at, k)
 
-        resp, gap, lam, lo, hi, jump = _solved(nodes, w, target, start, floor, rate, hint, stop)
+        resp, _, _, lo, hi, _ = _solved(nodes, w, target, start, 1e-3, rate, None, stop)
         best = score(resp)
-        if scan is not None:
-            # a screened problem's score lies below the scan's best: it drops out
-            cut = _screened(dom, j % k, k)
-            best[cut], live = -np.inf, np.flatnonzero(~cut)
-            np.maximum.at(sure, di, best)
-        # the scan only ranks, so its gaps get no held re-solves
-        redo = keep & (lo > 0.0) & (gap > RECOVERY_GAP)
+        # a screened problem's score lies below the scan's best: it drops out
+        best[_screened(dom, at, k)] = -np.inf
+        basin = np.argmax(best.reshape(d.size, k), axis=1)
+        j = np.arange(d.size) * k + basin
+        return basin, (lo[j], hi[j])
+
+    def refined(d, psi, hint):
+        """Recovered solves of problems (d, psi) from brackets hint, with held re-solves:
+        responses, scores, multipliers, gaps, brackets, dV/dpsi and its curvature."""
+        nodes = problems(d, psi)
+        resp, gap, lam, lo, hi, jump = _solved(nodes, w, target, start, RECOVERY_FLOOR, rate,
+                                               hint)
+        best = score(resp)
+        redo = (lo > 0.0) & (gap > RECOVERY_GAP)
         if redo.any():
             # every row of each node whose chosen row differs at lo and hi, save
             # those whose lowest power alone spends the budget (or the spend to beat)
@@ -600,63 +595,38 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
                 p = e[c] // g.size
                 held = problems(d[p], psi[p])
                 held.hold(np.arange(p.size) * g.size + e[c] % g.size, row[c] - nodes.start[e[c]])
-                r = _solved(held, w, target, start, floor, rate, (lo[p], hi[p]))[0]
+                r = _solved(held, w, target, start, RECOVERY_FLOOR, rate, (lo[p], hi[p]))[0]
                 v = score(r)
                 for i, q in enumerate(p):
                     if v[i] > best[q]:
                         best[q], gap[q] = v[i], bound[q] - unit[q] * v[i]
                         resp.value[q], resp.power[q] = r.value[i], r.power[i]
-        # dV/dpsi and its curvature, only where they can be read
-        f, df = np.full(d.size, np.nan), np.full(d.size, np.nan)
-        f[live], df[live] = _envelope(nodes, resp.power[live], live, w, lam[live], rate)
-        return (best, f, df, lo * 0.997, hi * 1.003, lam, gap) + ((resp,) if keep else ())
+        return resp, best, lam, gap, (lo, hi), *_envelope(nodes, resp.power, w, lam, rate)
 
-    def solve(d, psi, floor, hint=None, keep=False, sure=None):
-        """Recovered solves of problems (d, psi): scores, slopes dV/dpsi and curvatures,
-        widened brackets, multipliers, gaps and, when keep, the responses. sure, for the
-        coarse scan, screens it (chunk), whose chunks hold whole scans."""
-        size = step if sure is None else k * max(1, CHUNK_ROWS // (k * g.size))
-        out = [chunk(d[c], psi[c], floor, None if hint is None else (hint[0][c], hint[1][c]),
-                     keep, None if sure is None else (sure, c.start))
-               for c in (slice(s, s + size) for s in range(0, d.size, size))]
-        cat = [np.concatenate(z) for z in list(zip(*out))[:7]]
-        if keep:
-            cat.append(_concat([o[7] for o in out]))
-        return cat
+    per = max(1, CHUNK_ROWS // (k * g.size))
+    basin, hint = np.empty(ds.size, dtype=int), np.empty((2, ds.size))
+    for s in range(0, ds.size, per):
+        basin[s:s + per], hint[:, s:s + per] = scan(ds[s:s + per])
+    resp = _Response(*np.zeros((4, ds.size, g.size)))
+    # nan until a distortion's first solve, whose responses it keeps whatever their score
+    best, lam, gap = np.full(ds.size, np.nan), np.zeros(ds.size), np.zeros(ds.size)
 
-    # the scan ranks the grid's psi values: after the recovery a bracket floor
-    # of 1e-3 leaves its rates off by O(1e-6 lam B)
-    coarse, c_slope, _, c_lo, c_hi, _, _ = solve(np.repeat(ds, k), np.tile(psi_grid, ds.size),
-                                                 1e-3, sure=np.full(ds.size, -np.inf))
-    row = np.arange(ds.size) * k
-    basin = np.argmax(coarse.reshape(ds.size, k), axis=1)
-    x = psi_grid[basin]
-    best_v, fx, dfx, h_lo, h_hi, lam, gap, resp = solve(
-        ds, x, RECOVERY_FLOOR, (c_lo[row + basin], c_hi[row + basin]), True)
-    # bracket [a, b] between the basin and the neighbour across which dV/dpsi
-    # changes sign; a basin without one keeps its grid point
-    right = fx > 0.0
-    nb = np.where(right, np.minimum(basin + 1, k - 1), np.maximum(basin - 1, 0))
-    f_nb = c_slope[row + nb]
-    a, b = np.where(right, x, psi_grid[nb]), np.where(right, psi_grid[nb], x)
-    fa, fb = np.where(right, fx, f_nb), np.where(right, f_nb, fx)
-    act, side = (fa > 0.0) & (fb < 0.0), np.zeros(ds.size)
-    for _ in range(60):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = -fx / dfx
-        act &= (b - a > PSI_TOL) & (fx != 0.0) & ~((dfx < 0.0) & (np.abs(dx) <= PSI_TOL))
-        if not act.any():
-            break
-        i = np.flatnonzero(act)
-        ok = (dfx[i] < 0.0) & (a[i] < x[i] + dx[i]) & (x[i] + dx[i] < b[i])
-        x[i] = np.where(ok, x[i] + dx[i], b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i]))
-        v, fx[i], dfx[i], h_lo[i], h_hi[i], lm, gp, r = solve(ds[i], x[i], RECOVERY_FLOOR,
-                                                              (h_lo[i], h_hi[i]), True)
-        up = v > best_v[i]
-        best_v[i[up]], lam[i[up]], gap[i[up]] = v[up], lm[up], gp[up]
-        for f in ("value", "power", "rho1", "rho2"):
-            getattr(resp, f)[i[up]] = getattr(r, f)[up]
-        _narrow(i, x[i], fx[i], a, b, fa, fb, side)
+    def fun(psi, i):
+        """dV/dpsi and its curvature at psi of distortions i, each solved from its last
+        widened bracket; a distortion keeps the responses of its best score."""
+        f, df = np.empty(i.size), np.empty(i.size)
+        for c in (slice(s, s + step) for s in range(0, i.size, step)):
+            p = i[c]
+            r, v, lm, gp, hint[:, p], f[c], df[c] = refined(ds[p], psi[c],
+                                                            hint[:, p] * [[0.997], [1.003]])
+            up = np.isnan(best[p]) | (v > best[p])
+            best[p[up]], lam[p[up]], gap[p[up]] = v[up], lm[up], gp[up]
+            for name in ("value", "power", "rho1", "rho2"):
+                getattr(resp, name)[p[up]] = getattr(r, name)[up]
+        return f, df
+
+    newton(fun, psi_grid[basin], psi_grid[np.maximum(basin - 1, 0)],
+           psi_grid[np.minimum(basin + 1, k - 1)], PSI_TOL)
     return resp, lam, gap
 
 
@@ -822,7 +792,7 @@ def min_power(ch: ChannelParams, fading: FadingModel, R_target: float, D_target:
     if R_target < 0:
         raise ConfigError("R_target must be nonnegative")
     if not (ch.d_min <= D_target <= ch.Q):
-        raise ConfigError(f"D_target={D_target} outside ({ch.d_min:g}, {ch.Q}]")
+        raise ConfigError(f"D_target={D_target} outside [{ch.d_min:g}, {ch.Q}]")
     # an integer target would give the solver integer arrays
     R_target = float(R_target)
 

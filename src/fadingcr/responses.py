@@ -523,13 +523,12 @@ class FixedRho:
         with np.errstate(divide="ignore"):
             return self.c * np.log(self.coef[5, e] / self.coef[8, e])
 
-    def psi_terms(self, P: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    def psi_terms(self, P: np.ndarray) -> tuple[np.ndarray, ...]:
         """R_psi, R_psipsi, R_Ppsi = c f_xpsi / (2x) and R_PP = c (x f_xx - f_x) / (4x^3) (not
-        finite at x = sqrt(P) = 0) of the elements of problems p at powers P, shaped like P."""
-        e = (p[:, None] * self.n + np.arange(self.n)).reshape(-1)
+        finite at x = sqrt(P) = 0) of every element at powers P, shaped like P."""
         x = np.sqrt(P.reshape(-1))
-        fx, fxx, fp, fpp, fxp = arc_terms(self.g[e], x, np.arctan2(self.rho2[e], self.rho1[e]),
-                                          self.d[e], self.ch)
+        fx, fxx, fp, fpp, fxp = arc_terms(self.g, x, np.arctan2(self.rho2, self.rho1),
+                                          self.d, self.ch)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = (fp, fpp, fxp / (2.0 * x), (x * fxx - fx) / (4.0 * x ** 3))
         return tuple(self.c * t.reshape(P.shape) for t in terms)

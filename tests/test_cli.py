@@ -182,7 +182,9 @@ def test_power_rejects_bad_inputs(tmp_path, capsys):
     out = tmp_path / "p.csv"
     assert main(["power", "--out", str(out)]) == 2
     assert main(["power", "--rate", "-0.5", "--out", str(out)]) == 2
+    capsys.readouterr()
     assert main(["power", "--rate", "0.1", "--dgrid", "2.5", "--out", str(out)]) == 2
+    assert "distortions must lie in [1e-09, 1]" in capsys.readouterr().err
     # a nan target read as unreachable (exit 3), and inf raised RuntimeWarnings
     for rate in ("nan", "inf"):
         capsys.readouterr()
