@@ -4,21 +4,29 @@ All randomized draws are seeded; stated tolerances and runtime caps are
 asserted as given.
 """
 
+import importlib.util
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from fadingcr.model import ChannelParams, CodingParams, Degenerate, Rayleigh
+from fadingcr.model import ChannelParams, CodingParams, Rayleigh
 from fadingcr import gaussian_oracle as go
 from fadingcr import rate_core as rc
 from fadingcr.cli import main
 from fadingcr.ergodic import make_rule
-from fadingcr.optimize import (_rates, min_power, optimize_rho_per_state,
-                               power_distortion_curve, rd_frontier)
+from fadingcr.optimize import _rates, optimize_rho_per_state
 
 CH = ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=2.5)
+ROOT = Path(__file__).resolve().parent.parent
+# the figures' solves and the pinned numbers come from scripts/make_reference.py
+_spec = importlib.util.spec_from_file_location("make_reference",
+                                               ROOT / "scripts" / "make_reference.py")
+ref = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ref)
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -141,12 +149,23 @@ def test_criterion_6_quadrature_moments():
             ", ".join(f"{k} err = {err:.2e} (tol {tol:g})" for k, (err, tol) in errs.items()))
 
 
-def test_criterion_7_rate_distortion_figure():
+@pytest.fixture(scope="module")
+def fig2():
+    """Fig. 2's fading and static frontiers, and the seconds they took."""
     t0 = time.monotonic()
-    grid = np.geomspace(1e-3 * CH.Q, CH.Q, 50)
-    fading = rd_frontier(CH, Rayleigh(), 2.5, grid=grid, nodes=64)
-    static = rd_frontier(CH, Degenerate(1.0), 2.5, grid=grid, nodes=64)
-    elapsed = time.monotonic() - t0
+    return ref.fig2(), time.monotonic() - t0
+
+
+@pytest.fixture(scope="module")
+def fig3():
+    """Fig. 3's curve, P(0, Q), and the seconds they took."""
+    t0 = time.monotonic()
+    return *ref.fig3(), time.monotonic() - t0
+
+
+def test_criterion_7_rate_distortion_figure(fig2):
+    curves, elapsed = fig2
+    fading, static = curves["fading"], curves["static"]
 
     ds, rs = fading.distortions(), fading.rates()
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(rs, rs[1:]))
@@ -164,13 +183,9 @@ def test_criterion_7_rate_distortion_figure():
             f"{elapsed:.0f}s (cap 300s)")
 
 
-def test_criterion_8_power_distortion_figure():
-    t0 = time.monotonic()
-    rates = (0.1, 0.3, 0.5)
-    d_grid = np.linspace(0.28, 1.0, 9)
-    curve = power_distortion_curve(CH, Rayleigh(), rates, d_grid, nodes=64)
-    p_zero = min_power(CH, Rayleigh(), 0.0, CH.Q, nodes=64)
-    elapsed = time.monotonic() - t0
+def test_criterion_8_power_distortion_figure(fig3):
+    curve, p_zero, elapsed = fig3
+    rates, d_grid = ref.FIG3_RATES, np.linspace(0.28, 1.0, 9)
 
     ok = p_zero == 0.0
     details = [f"P(0, Q) = {p_zero}"]
@@ -234,3 +249,26 @@ def test_criterion_10_determinism(tmp_path):
     _report("10 (byte determinism)", ok,
             f"region bytes equal={regions[0] == regions[1]}, "
             f"validate bytes equal={reports[0] == reports[1]}")
+
+
+def test_pinned_reference_numbers(fig2, fig3):
+    # the package's Fig. 2, Fig. 3, maximize_rate and small-noise numbers against
+    # those pinned in tests/data/reference.json: rates (and the distortions and
+    # multipliers that come with them) to 1e-12 relative, P_min to 1e-10
+    want = json.loads((ROOT / "tests" / "data" / "reference.json").read_text())
+
+    def close(got, pinned, rtol=1e-12):
+        np.testing.assert_allclose(np.array(got, dtype=float), np.array(pinned, dtype=float),
+                                   rtol=rtol, atol=0)
+
+    for name, frontier in fig2[0].items():
+        close(ref.frontier_rows(frontier), want["fig2"][name])
+    close(ref.curve_rows(fig3[0]), want["fig3"]["cells"], 1e-10)
+    assert fig3[1] == want["fig3"]["p_zero"]
+    got = ref.solves()
+    assert [(s["mode"], s["d"], s["budget"], s["warnings"]) for s in got] == [
+        (s["mode"], s["d"], s["budget"], s["warnings"]) for s in want["maximize_rate"]]
+    close([(s["rate"], s["lam"]) for s in got],
+          [(s["rate"], s["lam"]) for s in want["maximize_rate"]])
+    for name, rows in ref.small_noise().items():
+        close(rows, want["small_noise"][name])
