@@ -13,10 +13,11 @@ capped, and the caller evaluates the rates. Both classes hold a batch of
 problems, one element per (problem, node), and one multiplier per problem.
 An AdaptiveRho, and the state of a FixedRho, serve one solve: each element
 keeps its response to its last multiplier and starts each power solve from
-its last one (newton_start). FixedRho's structure
-build works on polynomials stored coefficient-major, one contiguous row per
-power of x across all elements, so each step of its algebra is one
-vector operation over the elements.
+its last one (newton_start). FixedRho builds its structure once per
+problem, at gain g = 1, on polynomials stored coefficient-major (one row
+per power of x across the problems, so each step is one vector operation),
+and maps it onto each node in closed form, as A and B depend on g and x
+only through a = g x.
 """
 
 from __future__ import annotations
@@ -288,143 +289,162 @@ def _branches(N: np.ndarray, S: np.ndarray) -> list[tuple[float, float, bool]]:
     return out
 
 
+def _marginal(coef: np.ndarray, c: float, x) -> np.ndarray:
+    """c*N / (2 x A B), the marginal rate dR/dP at x = sqrt(P), of coefficient columns coef."""
+    n0, n1, n2, a0, a1, a2, b0, b1, b2 = coef
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return c * (n0 + x * (n1 + x * n2)) / (
+            2.0 * x * (a0 + x * (a1 + x * a2)) * (b0 + x * (b1 + x * b2)))
+
+
+def _unit_structure(rho1, rho2, d, ch: ChannelParams, c: float):
+    """FixedRho's structure of problems (rho1, rho2, d) at g = 1: the coefficients of N, A
+    and B, one column per problem, and per row, in FixedRho's order, its problem, xl, xr,
+    at_root, m_lo, m_hi and _nterms."""
+    Q, sz = ch.Q, ch.sigma_z2
+    # 1 - rho1^2 as in rate_core._rate_kernel
+    k = np.maximum((1.0 - rho1) * (1.0 + rho1), rho2 * rho2)
+    u, v = np.sqrt(Q - d), np.sqrt(d)
+    # N, A and B, coefficients of x**0, x**1, x**2
+    coef = np.stack([2.0 * u * (rho1 * (d + sz) - rho2 * u * v), 2.0 * (d + sz - k * (Q + sz)),
+                     2.0 * rho1 * (rho1 * rho2 * v - k * u), np.full_like(d, Q + sz),
+                     2.0 * (rho1 * u + rho2 * v), np.ones_like(d), d + sz, 2.0 * rho2 * v, k])
+    N, a, b = coef[:3], coef[3:6], coef[6:]
+    T = np.concatenate([np.zeros((1, d.size)), _pmul(a, b)])
+    S = _pmul(_pder(N), T) - _pmul(N, _pder(T))
+
+    n0, n1, n2 = N
+    vn, n_low = _sign_changes(N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(n1 * n1 - 4.0 * n0 * n2)
+        # the positive root, of the pair q / n2, n0 / q, where q has no
+        # cancellation: a power solve near it takes it as N's exact root
+        q = -0.5 * (n1 + np.copysign(disc, n1))
+        X = np.where(n0 == 0.0, -n1 / n2, np.where(n2 == 0.0, -n0 / n1,
+                                                   np.maximum(q / n2, n0 / q)))
+        # on (0, inf), split at the geometric mean of the magnitudes of S's roots
+        nz = S != 0.0
+        k_lo, k_hi = nz.argmax(0), S.shape[0] - 1 - nz[::-1].argmax(0)
+        at = np.arange(d.size)
+        scale = np.abs(S[k_lo, at] / S[k_hi, at]) ** (1.0 / (k_hi - k_lo))
+    X = np.where(vn == 1, X, np.inf)
+    L, U = np.where((n_low < 0) & (vn == 1), X, 0.0), np.where(n_low > 0, X, np.inf)
+    split = np.where(np.isfinite(U), 0.5 * (L + U), np.where(
+        L > 0.0, 2.0 * L, np.where(np.isfinite(scale) & (scale > 0.0), scale, 1.0)))
+    c1, s_low = _sign_changes(_on_interval(S, L, split))
+    c2, _ = _sign_changes(_on_interval(S, split, U))
+    nice = (c1 <= 1) & (c2 <= 1) & (((n_low > 0) & (vn <= 1)) | ((n_low < 0) & (vn == 1)))
+    concave = nice & (L == 0.0) & (s_low < 0) & (c1 + c2 == 0)
+    rising = nice & (s_low > 0) & (c1 + c2 == 1)
+    # N <= 0 throughout: the rate never rises, and P = 0 is the only candidate
+    flat = (vn == 0) & (n_low <= 0)
+
+    # the one root of S in (L, U), where m peaks: S falls through 0 there
+    r = np.flatnonzero(rising)
+    with np.errstate(divide="ignore"):
+        yl = np.log(np.where(c1 == 1, L, split)[r])
+        yh = np.log(np.where(c1 == 1, split, U)[r])
+
+    def fun(y, i):
+        val, der = _peval(S[:, r[i]], np.exp(y))
+        return val, der * np.exp(y)
+
+    peak = np.zeros(d.size)
+    peak[r] = np.exp(newton(fun, np.where(np.isinf(yl), yh - 1.0, np.where(
+        np.isinf(yh), yl + 1.0, 0.5 * (yl + yh))), yl, yh, 1e-14))
+    # rows (problems, lo, hi, zero, hi is a root of N where finite): a
+    # problem with more than one candidate gets a P = 0 row first, then its
+    # branches by ascending x
+    rows = [(concave, 0.0, U, False, True), (rising | flat, 0.0, 0.0, True, False),
+            (rising, peak, U, False, True)]
+    rows = [(np.flatnonzero(m), *r) for m, *r in rows]
+    for e in np.flatnonzero(~(concave | rising | flat)):
+        rows.append((np.array([e]), 0.0, 0.0, True, False))
+        rows += [(np.array([e]), lo, hi, False, k) for lo, hi, k in _branches(N[:, e], S[:, e])]
+    elem = np.concatenate([e for e, *_ in rows])
+    order = np.argsort(elem, kind="stable")
+    e = elem[order]
+    xl, xr = (np.concatenate([np.broadcast_to(r[j], d.shape)[r[0]] for r in rows])[order]
+              for j in (1, 2))
+    zero, at_root = (np.concatenate([np.full(r[0].shape, r[j]) for r in rows])[order]
+                     for j in (3, 4))
+
+    # marginal rates at the branch ends: +inf, -inf or c*n1/(2 a0 b0) at x = 0+
+    m0 = np.where(n0[e] > 0, np.inf, np.where(
+        n0[e] < 0, -np.inf, c * n1[e] / (2.0 * a[0, e] * b[0, e])))
+    m_lo = np.where(zero, -np.inf, np.where(xl > 0, _marginal(coef[:, e], c, xl), m0))
+    # N > 0 on a branch, so its end at a root of N has marginal rate 0
+    m_hi = np.where(zero, -np.inf, np.where(np.isfinite(xr), np.maximum(
+        _marginal(coef[:, e], c, xr), 0.0), 0.0))
+    # the rows whose branch ends at a root x_r of N, where the power solve
+    # runs in the distance v = -ln(y_r - y) to that end (_stationary); and
+    # per row (n_a, k) of N = n_a + d (k + n2 x): d = x - x_r and
+    # N = (x - x_r)(n2 x - n0 / x_r) there, d = x and N = n0 + x (n1 + n2 x)
+    # elsewhere
+    at_root = at_root & np.isfinite(xr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nterms = np.vstack([np.where(at_root, 0.0, n0[e]), np.where(at_root, -n0[e] / xr, n1[e])])
+    return coef, e, xl, xr, at_root, m_lo, m_hi, nterms
+
+
 class FixedRho:
     """Best powers of a batch of problems, each at its own shared (d, psi).
 
     g, d and psi hold one entry per (problem, node) element, n nodes per
-    problem. A branch is a maximal x-interval with N > 0 and S < 0, on which
-    a multiplier has at most one stationary point m = lam. They are found
-    once per element: when N is positive near 0 with at most one positive
-    root X, so that N > 0 on (L, U) = (0, X) or (X, inf), Descartes' rule on
-    two pieces of (L, U) isolates S's roots there, and two shapes are
-    certified: no root (concave: one branch from 0) or one root, where m
-    peaks (one branch from it). When N <= 0 throughout there is no branch.
-    Other elements, such as those whose m falls, rises and falls again, get
-    their branches from np.roots. An element with more than one candidate
-    (the branches' stationary points and P = 0) keeps the one of largest
-    rate - lam*P, or the one of the row it is held on.
-    A row's power solve is a Newton iteration in y = ln P or, on a branch
-    that ends at a root x_r of N, in the distance v = -ln(y_r - y) to that
-    end (_stationary).
-    The structure (coefficients, branches and their end values) depends only
-    on (g, d, psi, ch, base) and is read-only once built. The rest is the
-    state of one solve: each row keeps its response to its last multiplier
-    and its last Newton solve in y, the start of its next (newton_start),
-    and a hold restricts the rows powers may pick.
+    problem, which share d and psi. A branch is a maximal x-interval with
+    N > 0 and S < 0, on which a multiplier has at most one stationary point
+    m = lam. They are found once per problem, at g = 1 (_unit_structure):
+    when N is positive near 0 with at most one positive root X, so that
+    N > 0 on (L, U) = (0, X) or (X, inf), Descartes' rule on two pieces of
+    (L, U) isolates S's roots there, and two shapes are certified: no root
+    (concave: one branch from 0) or one root, where m peaks (one branch from
+    it). When N <= 0 throughout there is no branch. Other problems, such as
+    those whose m falls, rises and falls again, get their branches from
+    np.roots. A node of gain g > 0 takes its problem's rows at x = a / g
+    (a: x at g = 1), with m = g^2 m_1, N's coefficient of x^k times g^(k+1)
+    and A's and B's times g^k; a node with g = 0 has one P = 0 row. An
+    element with more than one candidate (the branches' stationary points
+    and P = 0) keeps the one of largest rate - lam*P, or the one of the row
+    it is held on. A row's power solve is _stationary's Newton iteration.
+    The structure (coefficients, branches and their end values) is read-only
+    once built. The rest is the state of one solve: each row keeps its
+    response to its last multiplier and its last Newton solve in y, the
+    start of its next (newton_start), and a hold restricts the rows powers
+    may pick.
     """
 
     def __init__(self, g, d, psi, n: int, ch: ChannelParams, base: float):
         self.g, self.d, self.n, self.ch, self.base = g, d, n, ch, base
         self.c = 0.5 / math.log(base)
+        p = np.arange(g.size) // n
         # rho1 = 0 exactly at the arc's ends, where cos(pi/2) leaves 6e-17
-        self.rho2 = np.sin(psi)
-        self.rho1 = np.where(np.abs(self.rho2) == 1.0, 0.0, np.cos(psi))
-        Q, sz = ch.Q, ch.sigma_z2
-        # 1 - rho1^2 as in rate_core._rate_kernel
-        k = np.maximum((1.0 - self.rho1) * (1.0 + self.rho1), self.rho2 * self.rho2)
-        u, v = np.sqrt(Q - d), np.sqrt(d)
-        # N, A and B, coefficients of x**0, x**1, x**2
-        coef = np.stack([2.0 * g * u * (self.rho1 * (d + sz) - self.rho2 * u * v),
-                         2.0 * g * g * (d + sz - k * (Q + sz)),
-                         2.0 * g ** 3 * self.rho1 * (self.rho1 * self.rho2 * v - k * u),
-                         np.full_like(g, Q + sz), 2.0 * g * (self.rho1 * u + self.rho2 * v),
-                         g * g, d + sz, 2.0 * g * self.rho2 * v, k * g * g])
-        N, a, b = coef[:3], coef[3:6], coef[6:]
-        self.coef = coef
-        T = np.concatenate([np.zeros((1, g.size)), _pmul(a, b)])
-        S = _pmul(_pder(N), T) - _pmul(N, _pder(T))
-        del T, u, v, k
+        rho2 = np.sin(psi[::n])
+        rho1 = np.where(np.abs(rho2) == 1.0, 0.0, np.cos(psi[::n]))
+        self.rho1, self.rho2 = rho1[p], rho2[p]
+        coef, prob, al, ar, root, lo, hi, nt = _unit_structure(rho1, rho2, d[::n], ch, self.c)
+        first = np.searchsorted(prob, np.arange(g.size // n))
+        count = np.where(g > 0.0, np.diff(np.r_[first, prob.size])[p], 1)
+        self.elem = e = np.repeat(np.arange(g.size), count)
+        self.start = np.r_[0, np.cumsum(count)[:-1]]
+        src = first[p[e]] + np.arange(e.size) - self.start[e]
+        live = g[e] > 0.0
+        ge = np.where(live, g[e], 1.0)
+        self.coef = coef[:, p] * g ** np.array([1, 2, 3, 0, 1, 2, 0, 1, 2])[:, None]
+        self.xl, self.xr = (np.where(live, x[src] / ge, 0.0) for x in (al, ar))
+        self.m_lo, self.m_hi = (np.where(live, ge * (ge * m[src]), -np.inf) for m in (lo, hi))
+        self.at_root = live & root[src]
+        self._nterms = nt[:, src] * np.vstack([ge, ge * ge])
 
-        n0, n1, n2 = N
-        vn, n_low = _sign_changes(N)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            disc = np.sqrt(n1 * n1 - 4.0 * n0 * n2)
-            # the positive root, of the pair q / n2, n0 / q, where q has no
-            # cancellation: a power solve near it takes it as N's exact root
-            q = -0.5 * (n1 + np.copysign(disc, n1))
-            X = np.where(n0 == 0.0, -n1 / n2, np.where(n2 == 0.0, -n0 / n1,
-                                                       np.maximum(q / n2, n0 / q)))
-            # on (0, inf), split at the geometric mean of the magnitudes of S's roots
-            nz = S != 0.0
-            k_lo, k_hi = nz.argmax(0), S.shape[0] - 1 - nz[::-1].argmax(0)
-            at = np.arange(g.size)
-            scale = np.abs(S[k_lo, at] / S[k_hi, at]) ** (1.0 / (k_hi - k_lo))
-        X = np.where(vn == 1, X, np.inf)
-        L, U = np.where((n_low < 0) & (vn == 1), X, 0.0), np.where(n_low > 0, X, np.inf)
-        split = np.where(np.isfinite(U), 0.5 * (L + U), np.where(
-            L > 0.0, 2.0 * L, np.where(np.isfinite(scale) & (scale > 0.0), scale, 1.0)))
-        c1, s_low = _sign_changes(_on_interval(S, L, split))
-        c2, _ = _sign_changes(_on_interval(S, split, U))
-        nice = (c1 <= 1) & (c2 <= 1) & (((n_low > 0) & (vn <= 1)) | ((n_low < 0) & (vn == 1)))
-        concave = nice & (L == 0.0) & (s_low < 0) & (c1 + c2 == 0)
-        rising = nice & (s_low > 0) & (c1 + c2 == 1)
-        # N <= 0 throughout: the rate never rises, and P = 0 is the only candidate
-        flat = (vn == 0) & (n_low <= 0)
-
-        # the one root of S in (L, U), where m peaks: S falls through 0 there
-        r = np.flatnonzero(rising)
-        with np.errstate(divide="ignore"):
-            yl = np.log(np.where(c1 == 1, L, split)[r])
-            yh = np.log(np.where(c1 == 1, split, U)[r])
-
-        def fun(y, i):
-            val, der = _peval(S[:, r[i]], np.exp(y))
-            return val, der * np.exp(y)
-
-        peak = np.zeros(g.size)
-        peak[r] = np.exp(newton(fun, np.where(np.isinf(yl), yh - 1.0, np.where(
-            np.isinf(yh), yl + 1.0, 0.5 * (yl + yh))), yl, yh, 1e-14))
-        # rows (elements, lo, hi, zero, hi is a root of N where finite): an
-        # element with more than one candidate gets a P = 0 row first, then its
-        # branches by ascending x
-        rows = [(concave, 0.0, U, False, True), (rising | flat, 0.0, 0.0, True, False),
-                (rising, peak, U, False, True)]
-        rows = [(np.flatnonzero(m), *r) for m, *r in rows]
-        for e in np.flatnonzero(~(concave | rising | flat)):
-            rows.append((np.array([e]), 0.0, 0.0, True, False))
-            rows += [(np.array([e]), lo, hi, False, k) for lo, hi, k in _branches(N[:, e], S[:, e])]
-        elem = np.concatenate([e for e, *_ in rows])
-        order = np.argsort(elem, kind="stable")
-        self.elem = elem[order]
-        self.xl, self.xr = (np.concatenate([np.broadcast_to(r[j], g.shape)[r[0]]
-                                            for r in rows])[order] for j in (1, 2))
-        zero, at_root = (np.concatenate([np.full(r[0].shape, r[j]) for r in rows])[order]
-                         for j in (3, 4))
-        self.simple = self.elem.size == g.size
-        self.start = np.flatnonzero(np.r_[True, self.elem[1:] != self.elem[:-1]])
-
-        # marginal rates at the branch ends: +inf, -inf or c*n1/(2 a0 b0) at x = 0+
-        e = self.elem
-        m0 = np.where(n0[e] > 0, np.inf, np.where(
-            n0[e] < 0, -np.inf, self.c * n1[e] / (2.0 * a[0, e] * b[0, e])))
-        self.m_lo = np.where(zero, -np.inf, np.where(self.xl > 0, self.marginal(self.xl, e), m0))
-        # N > 0 on a branch, so its end at a root of N has marginal rate 0
-        self.m_hi = np.where(zero, -np.inf, np.where(np.isfinite(self.xr), np.maximum(
-            self.marginal(self.xr, e), 0.0), 0.0))
-        # the rows whose branch ends at a root x_r of N, where the power solve
-        # runs in the distance v = -ln(y_r - y) to that end (_stationary); and
-        # per row (n_a, k) of N = n_a + d (k + n2 x): d = x - x_r and
-        # N = (x - x_r)(n2 x - n0 / x_r) there, d = x and N = n0 + x (n1 + n2 x)
-        # elsewhere
-        self.at_root = at_root & np.isfinite(self.xr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._nterms = np.vstack([np.where(self.at_root, 0.0, n0[e]),
-                                      np.where(self.at_root, -n0[e] / self.xr, n1[e])])
-
-        rows = self.elem.size
         # each row's multiplier, power and dP/dlam at its last response
-        self._memo = (np.full(rows, np.nan), np.zeros(rows), np.zeros(rows))
+        self._memo = (np.full(e.size, np.nan), np.zeros(e.size), np.zeros(e.size))
         # each row's last Newton solve: multiplier, y = ln P and slope
-        self._last = np.full((3, rows), np.nan)
+        self._last = np.full((3, e.size), np.nan)
         # the rows powers may pick; hold takes an element's other rows out
-        self.pickable = np.ones(rows, dtype=bool)
+        self.pickable = np.ones(e.size, dtype=bool)
 
     def marginal(self, x, e=None) -> np.ndarray:
         """c*N / (2 x A B), the marginal rate dR/dP at x = sqrt(P), of elements e (all)."""
-        n0, n1, n2, a0, a1, a2, b0, b1, b2 = self.coef if e is None else self.coef[:, e]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self.c * (n0 + x * (n1 + x * n2)) / (
-                2.0 * x * (a0 + x * (a1 + x * a2)) * (b0 + x * (b1 + x * b2)))
+        return _marginal(self.coef if e is None else self.coef[:, e], self.c, x)
 
     def _stationary(self, rows: np.ndarray, lam: np.ndarray, y0: np.ndarray):
         """y = ln P with marginal rate lam on each row's branch, Newton from y0; and the
@@ -499,7 +519,7 @@ class FixedRho:
                 self._last[:, i] = li, y, s
             self._memo[0][rows], self._memo[1][rows], self._memo[2][rows] = lm, P, dP
         P, dP = self._memo[1], self._memo[2]
-        if self.simple:
+        if e.size == self.g.size:
             return P.copy(), e, dP.copy()
         # per element, the first row of largest c*ln(A/B) - lam*P (the rate up to a constant)
         fin = np.isfinite(P)

@@ -1188,6 +1188,15 @@ def test_fixed_rho_full_distortion_small_budget_has_no_gap():
     assert maximize_rate(CH, Rayleigh(), CH.Q, 0.25, nodes=64).warnings == ()
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="ROADMAP item 2: at sigma_z2 = 1e-8 the power solves' exp(-z) in "
+                   "FixedRho._stationary overflows (478 RuntimeWarnings on this solve), and the "
+                   "solve carries a 1.94e-3-bit duality gap")
+def test_fixed_rho_tiny_noise_solve_raises_no_warning():
+    ch = ChannelParams(Q=1.0, sigma_z2=1e-8, P_avg=2.5)
+    maximize_rate(ch, Rayleigh(), 0.5, 2.5, nodes=16)
+
+
 def test_fixed_rho_jumping_node_reaches_the_one_free_node_optimum():
     # node 16 jumps across its hull segment at the optimal multiplier. Mixing
     # alone, or pinning it at the segment's low end, gave 0.1782545 bits and a
@@ -1329,3 +1338,96 @@ def test_psi_scan_screen_changes_no_bit(monkeypatch):
     monkeypatch.setattr(optimize, "_screened", lambda dom, *a: np.zeros_like(dom))
     for name, run in runs.items():
         assert repr(run()) == screened[name], name
+
+
+def _poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Products of the columns of p and q, coefficients of x**k down the first axis."""
+    out = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1]))
+    for k in range(p.shape[0]):
+        out[k:k + q.shape[0]] += p[k] * q
+    return out
+
+
+def _poly_der(p: np.ndarray) -> np.ndarray:
+    return p[1:] * np.arange(1, p.shape[0])[:, None]
+
+
+def _poly_val(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return sum(p[k] * x ** k for k in range(p.shape[0]))
+
+
+def _positive_roots(p: np.ndarray) -> np.ndarray:
+    """Positive real roots of each column of p, as np.roots finds them (eigenvalues of the
+    companion matrix), one row per column padded with nan."""
+    deg = p.shape[0] - 1 - np.argmax(p[::-1] != 0.0, axis=0)
+    out = np.full((p.shape[1], p.shape[0] - 1), np.nan)
+    for k in np.unique(deg[deg > 0]):
+        j = np.flatnonzero(deg == k)
+        comp = np.zeros((j.size, k, k))
+        comp[:, 0, :] = -(p[k - 1::-1, j] / p[k, j]).T
+        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        r = np.linalg.eigvals(comp)
+        out[j, :k] = np.where((r.real > 0.0) & (np.abs(r.imag) <= 1e-9 * np.abs(r)), r.real,
+                              np.nan)
+    return out
+
+
+@pytest.mark.parametrize("sigma_z2", [1.0, 0.01])
+@pytest.mark.parametrize("law", [Rayleigh(), Discrete((0.0, 0.5, 1.7), (0.2, 0.5, 0.3)),
+                                 Degenerate(0.0)], ids=["rayleigh64", "atoms", "silent"])
+def test_fixed_rho_mapped_structure_matches_each_elements_roots(law, sigma_z2):
+    # FixedRho builds its structure once per (d, psi) problem and maps it onto
+    # the nodes; here every element's rows come from its own N and S through
+    # _branches (np.roots), and its best response to a multiplier is the best
+    # of R - lam*P over P = 0 and the positive roots of c*N - 2*lam*x*A*B
+    ch = ChannelParams(Q=1.0, sigma_z2=sigma_z2, P_avg=1.0)
+    g0 = np.array(make_rule(law, 64).nodes)
+    psi = np.arcsin(np.linspace(-1.0, 1.0, 49))
+    for d in (1e-3, 0.3, 0.9, ch.Q):
+        g = np.tile(g0, psi.size)
+        nodes = responses.FixedRho(g, np.full(g.size, d), np.repeat(psi, g0.size), g0.size,
+                                   ch, 2.0)
+        # A, B, N = A'B - AB' and S = N'T - NT' with T = x*A*B, of each element
+        u, v, r1, r2 = math.sqrt(ch.Q - d), math.sqrt(d), nodes.rho1, nodes.rho2
+        A = np.stack([np.full(g.size, ch.Q + sigma_z2), 2.0 * g * (r1 * u + r2 * v), g * g])
+        B = np.stack([np.full(g.size, d + sigma_z2), 2.0 * g * r2 * v, (g * r2) ** 2])
+        N = _poly_mul(_poly_der(A), B) - _poly_mul(A, _poly_der(B))
+        T = _poly_mul(np.eye(2)[:, [1] * g.size], _poly_mul(A, B))
+        S = _poly_mul(_poly_der(N), T) - _poly_mul(N, _poly_der(T))
+        # an element has a P = 0 row first; one whose one branch starts at 0 (and
+        # so reaches P = 0) may go without
+        rows, first = [], nodes.xr[nodes.start] == 0.0
+        for e in range(g.size):
+            br = responses._branches(N[:, e], S[:, e])
+            if first[e] or not (len(br) == 1 and br[0][0] == 0.0):
+                rows.append((e, 0.0, 0.0, False))
+            rows += [(e, lo, hi, root and math.isfinite(hi)) for lo, hi, root in br]
+        elem, xl, xr, at_root = (np.array(z) for z in zip(*rows))
+        np.testing.assert_array_equal(nodes.elem, elem)
+        np.testing.assert_array_equal(nodes.start, np.searchsorted(elem, np.arange(g.size)))
+        np.testing.assert_array_equal(nodes.at_root, at_root)
+        np.testing.assert_allclose(nodes.xl, xl, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(nodes.xr, xr, rtol=1e-11, atol=0)
+        # the marginal rate c*N / (2 x A B) at the branch ends, -inf on P = 0 rows;
+        # 0 at a root of N or at infinity, and its sign or c*n1/(2 a0 b0) at 0+
+        c, zero, co = nodes.c, xr == 0.0, (N[:, elem], A[:, elem], B[:, elem])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = [c * _poly_val(co[0], x) / (2.0 * x * _poly_val(co[1], x) * _poly_val(co[2], x))
+                 for x in (xl, xr)]
+            m0 = np.where(co[0][0] != 0.0, np.copysign(np.inf, co[0][0]),
+                          c * co[0][1] / (2.0 * co[1][0] * co[2][0]))
+        m_lo = np.where(zero, -np.inf, np.where(xl > 0.0, m[0], m0))
+        m_hi = np.where(zero, -np.inf, np.where(at_root | np.isinf(xr), 0.0, m[1]))
+        np.testing.assert_allclose(nodes.m_lo, m_lo, rtol=1e-11, atol=0)
+        # at a root of N the mapped end leaves a marginal rate of rounding size
+        np.testing.assert_allclose(nodes.m_hi, m_hi, rtol=1e-11,
+                                   atol=1e-12 * c * float(g0.max()) ** 2)
+        for lam in (0.01, 0.05, 0.2, 0.7, 3.0):
+            # candidates (P = 0 and the roots) down the first axis
+            x = np.vstack([np.zeros(g.size), _positive_roots(c * np.vstack(
+                [N, np.zeros((T.shape[0] - N.shape[0], g.size))]) - 2.0 * lam * T).T])
+            score = c * np.log(_poly_val(A, x) / _poly_val(B, x)) - lam * x * x
+            best = x[np.nanargmax(score, axis=0), np.arange(g.size)] ** 2
+            # the power solves stop within 1e-9 in ln P
+            np.testing.assert_allclose(nodes.powers(np.full(psi.size, lam))[0], best,
+                                       rtol=1e-9, atol=0)
