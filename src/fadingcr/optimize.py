@@ -25,9 +25,10 @@ below its bound carries a "duality gap" warning.
 The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
 to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
-mode takes the best psi of a 49-point scan, screened by weak duality, and
-refines it between its grid neighbours by a bracketed Newton search
-(responses.newton), on its exact envelope curvature, for a zero of the
+mode takes the best psi of a 25-point scan over psi <= 0, where every optimum
+lies (the rate at -|psi| is never below that at |psi|), screened by weak
+duality, and refines it between its grid neighbours by a bracketed Newton
+search (responses.newton), on its exact envelope curvature, for a zero of the
 envelope derivative dV/dpsi. Both modes run one
 search-and-recovery path (_solved) on one responses object per solve, which
 keeps each node's response to its last multiplier and starts its next power
@@ -75,8 +76,11 @@ POWER_RTOL = 1e-8
 #: fourth order.
 RECOVERY_FLOOR = 1e-6
 
-#: Most (problem, node) rows a solver holds at once: a batch of problems is
-#: solved in chunks, so the working set does not grow with the distortion grid.
+#: (problem, node) rows per chunk: a batch of problems is solved in chunks, so
+#: the working set does not grow with the distortion grid. A chunk of the
+#: fixed-rho psi scan holds the fewest whole scans that reach CHUNK_ROWS rows
+#: (two 25-point scans at 64 nodes, one at 128), so on any grid of that many
+#: distortions the scan, not a refinement chunk, sets the peak.
 CHUNK_ROWS = 2 ** 11
 
 #: Certified duality gap, in rate units, above which a fixed-rho problem is
@@ -516,27 +520,33 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
     when start is given, the rate target at the least spent power, with the multiplier
     search started from the marginal rates at the budget start. A problem's score is its
     rate within the budget, or minus its spent power where it reaches the rate target
-    (-inf elsewhere). Two stages per distortion. The scan ranks a 49-point rho2 grid and
-    keeps only its best psi (the basin) and that problem's multiplier bracket; a chunk
-    holds whole scans, as many as fit CHUNK_ROWS and at least one. It is screened by weak
-    duality (_screen_bounds): a problem whose bound, and both its psi-neighbours' bounds,
+    (-inf elsewhere). Two stages per distortion. The scan ranks psi over the first 25
+    points of arcsin(linspace(-1, 1, 49)), those with psi <= 0, and keeps only its best
+    psi (the basin) and that problem's multiplier bracket; a chunk holds the fewest whole
+    scans that reach CHUNK_ROWS rows. No psi > 0 can win: with a = g sqrt(P),
+    u = sqrt(Q - d) and v = sqrt(d), the rate's A - B = (a cos psi + u)^2 >= 0, and
+    flipping the sign of sin psi changes A and B by the same 4 a v sin psi, so
+    R(P, -|psi|) >= R(P, |psi|) at every node and power, and the score at -|psi| is
+    never below that at |psi| on either row. The scan is screened by weak duality
+    (_screen_bounds): a problem whose bound, and both its psi-neighbours' bounds,
     lie below the best score that the scan certainly reaches at its distortion stops at
     its current multiplier and scores -inf. The argmax and both its neighbours always
     finish, with the same multipliers as unscreened, so the screen changes no output bit.
     The refinement is one bracketed Newton search (responses.newton) from the basin,
-    between its grid neighbours, for a zero of dV/dpsi = sum_i w_i dR_i/dpsi at the
-    recovered powers, on its exact curvature (_envelope); for a rate target the spent
-    power's envelope derivative is -dV/dpsi / lam, so the same search serves. It stops
-    once its bracket or its step is within PSI_TOL or dV/dpsi = 0, and the best score it
-    evaluated wins. Each round solves CHUNK_ROWS (problem, node) rows at a time. A
-    problem whose certified gap exceeds RECOVERY_GAP is solved again once for each row of
-    each node whose chosen row differs at the bracket's ends, with that node held on that
-    row (FixedRho.hold) and the others free; the best score wins, and its gap is the
-    first solve's bound minus its score (in rate units). Returns the responses (one row
-    per distortion), the multipliers and the certified duality gaps.
+    between its grid neighbours (in [psi_23, 0] for a basin at psi = 0, the grid's last
+    point, where dV/dpsi <= 0 by the same identity), for a zero of dV/dpsi =
+    sum_i w_i dR_i/dpsi at the recovered powers, on its exact curvature (_envelope); for a
+    rate target the spent power's envelope derivative is -dV/dpsi / lam, so the same
+    search serves. It stops once its bracket or its step is within PSI_TOL or dV/dpsi = 0,
+    and the best score it evaluated wins. Each round solves CHUNK_ROWS (problem, node)
+    rows at a time. A problem whose certified gap exceeds RECOVERY_GAP is solved again
+    once for each row of each node whose chosen row differs at the bracket's ends, with
+    that node held on that row (FixedRho.hold) and the others free; the best score wins,
+    and its gap is the first solve's bound minus its score (in rate units). Returns the
+    responses (one row per distortion), the multipliers and the certified duality gaps.
     """
     rate, start = start is not None, target if start is None else start
-    psi_grid = np.arcsin(np.linspace(-1.0, 1.0, 49))
+    psi_grid = np.arcsin(np.linspace(-1.0, 1.0, 49))[:25]  # psi <= 0
     k = psi_grid.size
     step = max(1, CHUNK_ROWS // g.size)
 
@@ -603,7 +613,7 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
                         resp.value[q], resp.power[q] = r.value[i], r.power[i]
         return resp, best, lam, gap, (lo, hi), *_envelope(nodes, resp.power, w, lam, rate)
 
-    per = max(1, CHUNK_ROWS // (k * g.size))
+    per = -(-CHUNK_ROWS // (k * g.size))  # whole scans, the fewest that reach CHUNK_ROWS
     basin, hint = np.empty(ds.size, dtype=int), np.empty((2, ds.size))
     for s in range(0, ds.size, per):
         basin[s:s + per], hint[:, s:s + per] = scan(ds[s:s + per])

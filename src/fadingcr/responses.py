@@ -117,7 +117,10 @@ def arc_psi(g, x, d, ch: ChannelParams, psi=0.0):
 
     The psi-derivative is 2gxu*B >= 0 at -pi/2 and its negative at pi/2
     (u = sqrt(Q - d)), and the arc rate is unimodal in psi, so a bracketed
-    Newton solve of the first-order condition finds the maximum.
+    Newton solve of the first-order condition finds the maximum. That maximum
+    has psi <= 0: with a = g x and v = sqrt(d), A - B = (a cos psi + u)^2 >= 0,
+    and flipping the sign of sin psi changes A and B by the same 4 a v sin psi,
+    so the rate at -|psi| is never below that at |psi|.
     """
     g, x, d = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (g, x, d)))
     shape = g.shape

@@ -4,6 +4,7 @@ All randomized draws are seeded; stated tolerances and runtime caps are
 asserted as given.
 """
 
+import contextlib
 import importlib.util
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 
 from fadingcr.model import ChannelParams, CodingParams, Rayleigh
 from fadingcr import gaussian_oracle as go
+from fadingcr import optimize
 from fadingcr import rate_core as rc
 from fadingcr.cli import main
 from fadingcr.ergodic import make_rule
@@ -149,18 +151,48 @@ def test_criterion_6_quadrature_moments():
             ", ".join(f"{k} err = {err:.2e} (tol {tol:g})" for k, (err, tol) in errs.items()))
 
 
+@contextlib.contextmanager
+def _recorded(solutions):
+    """Append every RateSolution that optimize._solve_grid returns to solutions."""
+    solve = optimize._solve_grid
+
+    def recorded(*args):
+        out = solve(*args)
+        solutions.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_solve_grid", recorded)
+        yield
+
+
 @pytest.fixture(scope="module")
-def fig2():
+def solutions():
+    """The RateSolutions of the figures' and the pinned solves, filled as they run."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def fig2(solutions):
     """Fig. 2's fading and static frontiers, and the seconds they took."""
     t0 = time.monotonic()
-    return ref.fig2(), time.monotonic() - t0
+    with _recorded(solutions):
+        return ref.fig2(), time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
-def fig3():
+def fig3(solutions):
     """Fig. 3's curve, P(0, Q), and the seconds they took."""
     t0 = time.monotonic()
-    return *ref.fig3(), time.monotonic() - t0
+    with _recorded(solutions):
+        return *ref.fig3(), time.monotonic() - t0
+
+
+@pytest.fixture(scope="module")
+def pinned(solutions):
+    """maximize_rate at the pinned cells in both modes (make_reference.solves)."""
+    with _recorded(solutions):
+        return ref.solves()
 
 
 def test_criterion_7_rate_distortion_figure(fig2):
@@ -251,7 +283,7 @@ def test_criterion_10_determinism(tmp_path):
             f"validate bytes equal={reports[0] == reports[1]}")
 
 
-def test_pinned_reference_numbers(fig2, fig3):
+def test_pinned_reference_numbers(fig2, fig3, pinned):
     # the package's Fig. 2, Fig. 3, maximize_rate and small-noise numbers against
     # those pinned in tests/data/reference.json: rates (and the distortions and
     # multipliers that come with them) to 1e-12 relative, P_min to 1e-10
@@ -265,10 +297,18 @@ def test_pinned_reference_numbers(fig2, fig3):
         close(ref.frontier_rows(frontier), want["fig2"][name])
     close(ref.curve_rows(fig3[0]), want["fig3"]["cells"], 1e-10)
     assert fig3[1] == want["fig3"]["p_zero"]
-    got = ref.solves()
-    assert [(s["mode"], s["d"], s["budget"], s["warnings"]) for s in got] == [
+    assert [(s["mode"], s["d"], s["budget"], s["warnings"]) for s in pinned] == [
         (s["mode"], s["d"], s["budget"], s["warnings"]) for s in want["maximize_rate"]]
-    close([(s["rate"], s["lam"]) for s in got],
+    close([(s["rate"], s["lam"]) for s in pinned],
           [(s["rate"], s["lam"]) for s in want["maximize_rate"]])
     for name, rows in ref.small_noise().items():
         close(rows, want["small_noise"][name])
+
+
+def test_optimal_rho2_is_never_positive(fig2, fig3, pinned, solutions):
+    # R(P, -|psi|) >= R(P, |psi|) at every node and power, so V(psi) <= V(-|psi|) on the
+    # budget and rate-target rows alike, and every optimum, in either mode, has
+    # rho2 <= 0 at every node: the fixed-rho scan covers only psi <= 0
+    assert {s.mode for s in solutions} == {"fixed-rho", "adaptive-rho"}
+    assert max(max(s.policy.rho2) for s in solutions) <= 0.0
+    assert min(min(s.policy.rho2) for s in solutions) < 0.0

@@ -18,6 +18,7 @@ from fadingcr.ergodic import avg_power, ergodic_rate, make_rule
 from fadingcr.optimize import (POWER_CAP, POWER_RTOL, UnreachableError, _dual_solve, _into_disk, _rates,
                                _Response, concave_envelope, maximize_rate, min_power,
                                optimize_rho_per_state, power_distortion_curve, rd_frontier)
+from fadingcr.rate_core import _rate_kernel
 
 CH = ChannelParams(Q=1.0, sigma_z2=1.0, P_avg=2.5)
 
@@ -770,10 +771,11 @@ def test_fixed_rho_beats_brute_force_on_small_discrete_laws():
 
 
 def test_fixed_rho_frontier_working_set_is_bounded():
-    # the batched grid solve holds at most CHUNK_ROWS (problem, node) rows at a
-    # time, and the scan keeps only each distortion's basin, so its peak stays
-    # near one chunk's however long the grid: the CLI's default 50 points peak
-    # within 5 % of 12 points
+    # the batched grid solve holds one chunk of (problem, node) rows at a time
+    # (CHUNK_ROWS, or for the psi scan the fewest whole scans that reach it), and
+    # the scan keeps only each distortion's basin, so its peak stays near one
+    # chunk's however long the grid: the CLI's default 50 points peak within 5 %
+    # of 12 points
     make_rule(Rayleigh(), 64)  # the cold rule build is not part of the solve
     peaks = []
     for grid in (np.geomspace(1e-3, 1.0, 12), None):
@@ -788,7 +790,7 @@ def test_fixed_rho_frontier_working_set_is_bounded():
 
 
 def test_fixed_rho_whole_scan_chunks_working_set_is_bounded():
-    # at 128 nodes one distortion's 49-point psi scan is 6,272 rows, over
+    # at 128 nodes one distortion's 25-point psi scan is 3,200 rows, over
     # CHUNK_ROWS: its chunk still holds the whole scan, and no more than that
     make_rule(Rayleigh(), 128)
     tracemalloc.start()
@@ -800,10 +802,37 @@ def test_fixed_rho_whole_scan_chunks_working_set_is_bounded():
     assert peak < 5e6
 
 
+def test_rate_at_minus_psi_dominates_plus_psi():
+    # the fixed-rho psi scan covers only psi <= 0: with a = g sqrt(P), u = sqrt(Q - d)
+    # and v = sqrt(d), A - B = (a cos psi + u)^2 >= 0, and flipping the sign of sin psi
+    # changes A and B by the same 4 a v sin psi, so R(P, -psi) >= R(P, psi). The rate
+    # depends on g and P only through a, so g = 1
+    rng = np.random.default_rng(27)
+    m, d_min = 200_000, CH.d_min
+    sz = 10.0 ** rng.uniform(-8.0, 2.0, m)
+    d = np.where(rng.random(m) < 0.125, CH.Q, 10.0 ** rng.uniform(math.log10(d_min), 0.0, m))
+    psi = 0.5 * math.pi * (1.0 - rng.random(m))  # (0, pi/2]
+    P = sz * 10.0 ** rng.uniform(-6.0, 6.0, m)
+    plus, minus = (_rate_kernel(1.0, P, CH.Q - d, d, np.cos(psi), s * np.sin(psi), sz)
+                   for s in (1.0, -1.0))
+    assert d.max() == CH.Q and d.min() > d_min
+    assert np.all(minus >= plus - 1e-15)
+    # A - B on FixedRho's unit-gain coefficients of x**0, x**1 and x**2
+    for sigma_z2 in (1e-8, 0.01, 1.0, 100.0):
+        ch = ChannelParams(Q=1.0, sigma_z2=sigma_z2, P_avg=1.0)
+        dd, pp = d[:500], np.r_[psi[:250], -psi[250:500]]
+        coef = responses._unit_structure(np.cos(pp), np.sin(pp), dd, ch, 0.5)[0]
+        u = np.sqrt(ch.Q - dd)
+        diff, want = coef[3:6] - coef[6:], np.stack([u * u, 2.0 * np.cos(pp) * u,
+                                                       np.cos(pp) ** 2])
+        scale = np.abs(coef[3:6]) + np.abs(coef[6:])
+        assert np.all(np.abs(diff - want) <= 4.0 * np.finfo(float).eps * scale)
+
+
 def test_fixed_rho_frontier_build_count(monkeypatch):
-    # a 4-point Rayleigh-64 frontier builds one FixedRho per distortion's psi
-    # scan and one per round of the Newton psi search (responses.newton), whose
-    # first round solves the four basins
+    # a 4-point Rayleigh-64 frontier builds one FixedRho per chunk of psi scans
+    # (two scans at 64 nodes) and one per round of the Newton psi search
+    # (responses.newton), whose first round solves the four basins: 2 + 3 builds
     builds = []
     init = responses.FixedRho.__init__
     monkeypatch.setattr(responses.FixedRho, "__init__",
