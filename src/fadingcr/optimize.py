@@ -26,10 +26,11 @@ The rate is maximized on the disk boundary rho = (cos psi, sin psi),
 |psi| <= pi/2, whenever g^2 P > 0; degenerate flat cases are canonicalized
 to (0, 0). In adaptive-rho mode each node takes its own psi*(P); fixed-rho
 mode takes the best psi of a 25-point scan over psi <= 0, where every optimum
-lies (the rate at -|psi| is never below that at |psi|), screened by weak
-duality, and refines it between its grid neighbours by a bracketed Newton
-search (responses.newton), on its exact envelope curvature, for a zero of the
-envelope derivative dV/dpsi. Both modes run one
+lies (the rate at -|psi| is never below that at |psi|), from each distortion's
+certified floor (responses.psi_floor; below it every node's rate rises in
+psi), screened by weak duality, and refines it between its grid neighbours by
+a bracketed Newton search (responses.newton), on its exact envelope
+curvature, for a zero of the envelope derivative dV/dpsi. Both modes run one
 search-and-recovery path (_solved) on one responses object per solve, which
 keeps each node's response to its last multiplier and starts its next power
 solve from it. All searches are deterministic.
@@ -47,7 +48,7 @@ import numpy as np
 from .ergodic import make_rule
 from .model import ChannelParams, ConfigError, FadingModel, PerStatePolicy, in_disk
 from .rate_core import _rate_kernel
-from .responses import AdaptiveRho, FixedRho, arc_psi, newton
+from .responses import AdaptiveRho, FixedRho, arc_psi, newton, psi_floor
 
 MODES = ("fixed-rho", "adaptive-rho")
 
@@ -78,9 +79,9 @@ RECOVERY_FLOOR = 1e-6
 
 #: (problem, node) rows per chunk: a batch of problems is solved in chunks, so
 #: the working set does not grow with the distortion grid. A chunk of the
-#: fixed-rho psi scan holds the fewest whole scans that reach CHUNK_ROWS rows
-#: (two 25-point scans at 64 nodes, one at 128), so on any grid of that many
-#: distortions the scan, not a refinement chunk, sets the peak.
+#: fixed-rho psi scan holds 1.5 CHUNK_ROWS rows (48 problems at 64 nodes, 24 at
+#: 128), cut across distortions, so on any grid that fills one the scan, not a
+#: refinement chunk, sets the peak.
 CHUNK_ROWS = 2 ** 11
 
 #: Certified duality gap, in rate units, above which a fixed-rho problem is
@@ -488,10 +489,10 @@ def _screen_bounds(lam: np.ndarray, r: _Response, weights: np.ndarray, target: f
 
 
 def _screened(dom: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
-    """The problems of a chunk of whole k-point psi scans that its screen stops: those
-    dominated (dom) whose psi-neighbours are dominated too, at psi indices at. A
-    neighbour beyond the grid's end counts as dominated. So the scan's argmax and both
-    its neighbours are always solved."""
+    """The problems of a chunk of psi scans that its screen stops: those dominated (dom)
+    whose psi-neighbours are dominated too, at indices at of k-point scans. A neighbour
+    beyond a scan's ends counts as dominated, one beyond the chunk's as undominated. So
+    the scan's argmax and both its neighbours are always solved."""
     nb = np.r_[False, dom, False]
     return dom & ((at == 0) | nb[:-2]) & ((at == k - 1) | nb[2:])
 
@@ -522,16 +523,19 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
     rate within the budget, or minus its spent power where it reaches the rate target
     (-inf elsewhere). Two stages per distortion. The scan ranks psi over the first 25
     points of arcsin(linspace(-1, 1, 49)), those with psi <= 0, and keeps only its best
-    psi (the basin) and that problem's multiplier bracket; a chunk holds the fewest whole
-    scans that reach CHUNK_ROWS rows. No psi > 0 can win: with a = g sqrt(P),
-    u = sqrt(Q - d) and v = sqrt(d), the rate's A - B = (a cos psi + u)^2 >= 0, and
-    flipping the sign of sin psi changes A and B by the same 4 a v sin psi, so
-    R(P, -|psi|) >= R(P, |psi|) at every node and power, and the score at -|psi| is
-    never below that at |psi| on either row. The scan is screened by weak duality
-    (_screen_bounds): a problem whose bound, and both its psi-neighbours' bounds,
-    lie below the best score that the scan certainly reaches at its distortion stops at
-    its current multiplier and scores -inf. The argmax and both its neighbours always
-    finish, with the same multipliers as unscreened, so the screen changes no output bit.
+    psi (the basin) and that problem's multiplier bracket. No psi > 0 can win: with
+    a = g sqrt(P), u = sqrt(Q - d) and v = sqrt(d), the rate's A - B =
+    (a cos psi + u)^2 >= 0, and flipping the sign of sin psi changes A and B by the same
+    4 a v sin psi, so R(P, -|psi|) >= R(P, |psi|) at every node and power, and the score
+    at -|psi| is never below that at |psi| on either row. Nor can a psi below the
+    distortion's certified floor (responses.psi_floor), where every node's rate still
+    rises in psi, so the scan starts there. Its (d, psi) problems are solved 1.5
+    CHUNK_ROWS rows at a time, cut across distortions; the first best score wins. The
+    scan is screened by weak duality (_screen_bounds): a problem whose bound, and both
+    its psi-neighbours' bounds, lie below the best score that the scan certainly reaches
+    at its distortion stops at its current multiplier and scores -inf (the floor counts
+    as a grid end, a neighbour in another chunk as undominated). The argmax always
+    finishes, with the same multipliers as unscreened, so the screen changes no output bit.
     The refinement is one bracketed Newton search (responses.newton) from the basin,
     between its grid neighbours (in [psi_23, 0] for a basin at psi = 0, the grid's last
     point, where dV/dpsi <= 0 by the same identity), for a zero of dV/dpsi =
@@ -561,27 +565,34 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
             return np.where(value >= target, -spent, -np.inf)
         return np.where(spent <= target * (1.0 + BUDGET_TOL), value, -np.inf)
 
-    def scan(d):
-        """The basin of each distortion d's psi scan and its multiplier bracket.
+    # the scan's problems, from each distortion's floor; and per distortion the best
+    # score it certainly reaches, its best score (nan before its first), basin and bracket
+    low = psi_floor(ds, psi_grid, ch)
+    di, at = np.nonzero(np.arange(k) >= low[:, None])
+    sure, top = np.full(ds.size, -np.inf), np.full(ds.size, np.nan)
+    basin, hint = np.empty_like(low), np.empty((2, ds.size))
+
+    def scan(c):
+        """Rank the scan problems c, keeping per distortion the first of its best scores.
         The scan only ranks: after the recovery a bracket floor of 1e-3 leaves its rates
         off by O(1e-6 lam B). Its FixedRho is freed before the next chunk's is made."""
-        at, di = np.tile(np.arange(k), d.size), np.repeat(np.arange(d.size), k)
-        nodes = problems(np.repeat(d, k), psi_grid[at])
-        sure, dom = np.full(d.size, -np.inf), np.zeros(at.size, dtype=bool)
+        p, j = di[c], at[c]
+        nodes = problems(ds[p], psi_grid[j])
+        dom = np.zeros(j.size, dtype=bool)
 
         def stop(lam, r):
             reach, bound, margin = _screen_bounds(lam, r, w, target, rate)
-            np.maximum.at(sure, di, reach)
-            dom[:] |= bound + margin < sure[di]
-            return _screened(dom, at, k)
+            np.maximum.at(sure, p, reach)
+            dom[:] |= bound + margin < sure[p]
+            return _screened(dom, j - low[p], k - low[p])
 
         resp, _, _, lo, hi, _ = _solved(nodes, w, target, start, 1e-3, rate, None, stop)
-        best = score(resp)
+        v = score(resp)
         # a screened problem's score lies below the scan's best: it drops out
-        best[_screened(dom, at, k)] = -np.inf
-        basin = np.argmax(best.reshape(d.size, k), axis=1)
-        j = np.arange(d.size) * k + basin
-        return basin, (lo[j], hi[j])
+        v[_screened(dom, j - low[p], k - low[p])] = -np.inf
+        for i, q in enumerate(p):
+            if not v[i] <= top[q]:
+                top[q], basin[q], hint[:, q] = v[i], j[i], (lo[i], hi[i])
 
     def refined(d, psi, hint):
         """Recovered solves of problems (d, psi) from brackets hint, with held re-solves:
@@ -613,10 +624,9 @@ def _solve_fixed(g, w, ds, target, ch, base, start=None):
                         resp.value[q], resp.power[q] = r.value[i], r.power[i]
         return resp, best, lam, gap, (lo, hi), *_envelope(nodes, resp.power, w, lam, rate)
 
-    per = -(-CHUNK_ROWS // (k * g.size))  # whole scans, the fewest that reach CHUNK_ROWS
-    basin, hint = np.empty(ds.size, dtype=int), np.empty((2, ds.size))
-    for s in range(0, ds.size, per):
-        basin[s:s + per], hint[:, s:s + per] = scan(ds[s:s + per])
+    per = max(1, 3 * CHUNK_ROWS // (2 * g.size))
+    for s in range(0, di.size, per):
+        scan(slice(s, s + per))
     resp = _Response(*np.zeros((4, ds.size, g.size)))
     # nan until a distortion's first solve, whose responses it keeps whatever their score
     best, lam, gap = np.full(ds.size, np.nan), np.zeros(ds.size), np.zeros(ds.size)

@@ -134,6 +134,35 @@ def arc_psi(g, x, d, ch: ChannelParams, psi=0.0):
                   -0.5 * math.pi, 0.5 * math.pi, 1e-15)
 
 
+def psi_cubic(d, psi, ch: ChannelParams) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The terms of each coefficient of a^0, ..., a^3 of the cubic h with f_psi =
+    2 a h(a) / (A B) at a = g x, one row per distortion d and one column per angle psi."""
+    d = np.asarray(d, dtype=float)[:, None]
+    u, v, co, si, sz = np.sqrt(ch.Q - d), np.sqrt(d), np.cos(psi), np.sin(psi), ch.sigma_z2
+    return ((-u * u * v * co, -u * si * (d + sz)), (-2.0 * u * v, -co * si * (ch.Q + sz)),
+            (-v * co * (1.0 + si * si), -u * si * (2.0 - si * si)), (-co * si + 0.0 * d,))
+
+
+def psi_floor(d, psi, ch: ChannelParams) -> np.ndarray:
+    """Per distortion d, the largest index j of the ascending angles psi (psi[0] = -pi/2)
+    such that the arc rate rises in psi at psi[0], ..., psi[j] at every a = g x >= 0, so
+    that R(a, psi_i) <= R(a, psi_j) for i < j at every node and power, as the arc rate is
+    unimodal in psi (arc_psi). That holds where psi_cubic's h has a positive a^3
+    coefficient and, at 0 and at its local minimum, is at least 1e-12 of its terms'
+    magnitudes; and at psi = -pi/2, where h = u ((a - v)^2 + sigma_z2) >= 0."""
+    terms = psi_cubic(d, psi, ch)
+    c = [sum(ts) for ts in terms]
+    mag = [sum(np.abs(t) for t in ts) for ts in terms]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the larger root of h' = c1 + 2 c2 a + 3 c3 a^2 without cancellation, or 0
+        root = np.sqrt(c[2] * c[2] - 3.0 * c[3] * c[1])
+        a = np.fmax(np.where(c[2] > 0, -c[1] / (c[2] + root), (root - c[2]) / (3 * c[3])), 0.0)
+        h, tol = (sum(x * a ** k for k, x in enumerate(z)) for z in (c, mag))
+        ok = (c[3] > 0.0) & (c[0] >= 1e-12 * mag[0]) & (h >= 1e-12 * tol)
+    ok[:, 0] = True
+    return np.cumprod(ok, axis=1).sum(axis=1) - 1
+
+
 def arc_marginal(g, x, d, ch: ChannelParams, base: float):
     """Marginal rate dR/dP at P = x^2 > 0 with each node at its psi*(P).
 

@@ -772,7 +772,7 @@ def test_fixed_rho_beats_brute_force_on_small_discrete_laws():
 
 def test_fixed_rho_frontier_working_set_is_bounded():
     # the batched grid solve holds one chunk of (problem, node) rows at a time
-    # (CHUNK_ROWS, or for the psi scan the fewest whole scans that reach it), and
+    # (CHUNK_ROWS, or for the psi scan 1.5 CHUNK_ROWS cut across distortions), and
     # the scan keeps only each distortion's basin, so its peak stays near one
     # chunk's however long the grid: the CLI's default 50 points peak within 5 %
     # of 12 points
@@ -790,8 +790,8 @@ def test_fixed_rho_frontier_working_set_is_bounded():
 
 
 def test_fixed_rho_whole_scan_chunks_working_set_is_bounded():
-    # at 128 nodes one distortion's 25-point psi scan is 3,200 rows, over
-    # CHUNK_ROWS: its chunk still holds the whole scan, and no more than that
+    # at 128 nodes a chunk of the psi scan holds 24 (d, psi) problems, 3,072
+    # rows, over CHUNK_ROWS; a distortion's scan may span two chunks
     make_rule(Rayleigh(), 128)
     tracemalloc.start()
     try:
@@ -829,10 +829,79 @@ def test_rate_at_minus_psi_dominates_plus_psi():
         assert np.all(np.abs(diff - want) <= 4.0 * np.finfo(float).eps * scale)
 
 
+def test_psi_cubic_matches_arc_terms():
+    # f_psi = 2 a h(a) / (A B) with h the cubic of responses.psi_cubic, at a = g x,
+    # against arc_terms' f_psi, up to the rounding of its two terms
+    rng = np.random.default_rng(28)
+    for sz in 10.0 ** rng.uniform(-8.0, 2.0, 12):
+        ch = ChannelParams(Q=1.0, sigma_z2=sz, P_avg=1.0)
+        d = np.r_[ch.Q, 10.0 ** rng.uniform(math.log10(ch.d_min), 0.0, 19)][:, None]
+        psi = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 30)
+        a = 10.0 ** rng.uniform(-6.0, 6.0, (d.size, psi.size))
+        h = sum(sum(t) * a ** k for k, t in enumerate(responses.psi_cubic(d[:, 0], psi, ch)))
+        u, v, co, si = np.sqrt(ch.Q - d), np.sqrt(d), np.cos(psi), np.sin(psi)
+        A = a * a + 2.0 * a * (u * co + v * si) + ch.Q + sz
+        B = (si * a) ** 2 + 2.0 * a * v * si + d + sz
+        scale = np.abs(2.0 * a * (v * co - u * si) / A) + np.abs(2.0 * a * co * (si * a + v) / B)
+        fp = responses.arc_terms(1.0, a, psi, d, ch)[2]
+        assert np.all(np.abs(2.0 * a * h / (A * B) - fp) <= 1e-11 * scale)
+
+
+def test_psi_floor_angles_are_dominated():
+    # every scan angle below a distortion's certified floor (responses.psi_floor) has
+    # a rate no larger than the floor's at every a = g sqrt(P), so no score there
+    # beats the floor's on either constraint row
+    rng = np.random.default_rng(29)
+    psi = np.arcsin(np.linspace(-1.0, 1.0, 49))[:25]
+    rho1, rho2 = np.where(np.abs(np.sin(psi)) == 1.0, 0.0, np.cos(psi)), np.sin(psi)
+    a = np.r_[0.0, np.geomspace(1e-7, 1e7, 281)]
+    dropped = 0
+    for sz in 10.0 ** rng.uniform(-8.0, 2.0, 24):
+        ch = ChannelParams(Q=1.0, sigma_z2=sz, P_avg=1.0)
+        d = np.where(rng.random(16) < 0.15, ch.Q,
+                     10.0 ** rng.uniform(math.log10(ch.d_min), 0.0, 16))
+        floor = responses.psi_floor(d, psi, ch)
+        assert floor.min() >= 0 and floor.max() < psi.size - 1
+        for dk, j in zip(d, floor):
+            rate = _rate_kernel(1.0, a[:, None] ** 2, ch.Q - dk, dk, rho1[:j + 1],
+                                rho2[:j + 1], sz)
+            assert np.all(rate[:, :j] <= rate[:, j:] + 1e-15), (sz, dk, j)
+            dropped += j
+    assert dropped > 1000
+
+
+def test_psi_floor_changes_no_bit(monkeypatch):
+    # the fixed-rho scan skips every angle below each distortion's certified floor;
+    # with a floor that keeps every angle every output keeps its bits. The 3-atom
+    # law at Q = 4 has two interior maxima of V(psi), min_power scans the rate row,
+    # and at sigma_z2 = 0.01 the floor keeps nearly every angle
+    law3 = Discrete(points=(0.3, 1.0, 2.2), probs=(0.2, 0.5, 0.3))
+    ch4 = ChannelParams(Q=4.0, sigma_z2=1.0, P_avg=0.02)
+    small = ChannelParams(Q=1.0, sigma_z2=0.01, P_avg=2.0)
+    grid = np.geomspace(1e-3, 1.0, 12)
+    runs = {"rayleigh": lambda: rd_frontier(CH, Rayleigh(), 2.5, grid=grid, nodes=64),
+            "3-atom": lambda: rd_frontier(ch4, law3, 0.02, grid=4.0 * grid, nodes=1),
+            "min_power": lambda: min_power(CH, Rayleigh(), 0.3, CH.Q, nodes=64),
+            "small-noise": lambda: rd_frontier(small, Rayleigh(), 2.0, grid=grid, nodes=16)}
+    floors = []
+    orig = optimize.psi_floor
+    monkeypatch.setattr(optimize, "psi_floor", lambda *a: floors.append(orig(*a)) or floors[-1])
+    floored = {}
+    for name, run in runs.items():
+        floors.clear()
+        floored[name] = repr(run())
+        assert max(f.max() for f in floors) > 0, name
+    monkeypatch.setattr(optimize, "psi_floor", lambda d, *a: np.zeros(len(d), dtype=int))
+    for name, run in runs.items():
+        assert repr(run()) == floored[name], name
+
+
 def test_fixed_rho_frontier_build_count(monkeypatch):
-    # a 4-point Rayleigh-64 frontier builds one FixedRho per chunk of psi scans
-    # (two scans at 64 nodes) and one per round of the Newton psi search
-    # (responses.newton), whose first round solves the four basins: 2 + 3 builds
+    # a 4-point Rayleigh-64 frontier builds one FixedRho per chunk of the psi
+    # scan (48 problems at 64 nodes; the four scans keep 25 of their 100 angles,
+    # from each certified floor on: one chunk) and one per round of the Newton psi
+    # search (responses.newton), whose first round solves the four basins:
+    # 1 + 3 builds
     builds = []
     init = responses.FixedRho.__init__
     monkeypatch.setattr(responses.FixedRho, "__init__",
