@@ -3,10 +3,10 @@
 Builds the joint law of (U, T, S, X, Y) from the coding construction and
 re-derives every closed form in rate_core through covariance algebra
 (Schur complements, log-determinant mutual informations) and seeded
-Monte-Carlo sampling, streamed in blocks so that its memory does not
-depend on the sample count. Note E[X^2] = P exactly: X carries an
-independent residual on top of its U and T components, so the disk
-interior is covered.
+Monte-Carlo sampling (numpy's ziggurat normals, streamed in blocks so that
+memory does not depend on the sample count). Note E[X^2] = P exactly: X
+carries an independent residual on top of its U and T components, so the
+disk interior is covered.
 
 Every oracle works on a stack of draws: build_covariance takes arrays of g
 and P with one CodingParams per draw and fills an (N, 5, 5) array,
@@ -42,7 +42,7 @@ VARIABLES = ("U", "T", "S", "X", "Y")
 DEGENERATE_FACTOR = 1e-14
 
 #: PRNG scheme used by mc_estimate, recorded in its metadata.
-PRNG_ALGORITHM = "pcg64-ndtri"
+PRNG_ALGORITHM = "pcg64-jumped-ziggurat"
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ def build_covariance(g: float | np.ndarray, P: float | np.ndarray,
         raise NumericalError("g and P must be nonnegative")
     for c in cps:
         c.validate(ch)
-    rho1 = np.array([c.rho1 for c in cps], dtype=float)
-    rho2 = np.array([c.rho2 for c in cps], dtype=float)
-    vt = np.array([c.d for c in cps], dtype=float)
-    vu = np.array([_clamp0(ch.Q - c.d) for c in cps], dtype=float)
+    rho1, rho2, vt = np.array([(c.rho1, c.rho2, c.d) for c in cps], dtype=float).T
+    vu = _clamp0(ch.Q - vt)
     cov_ux = rho1 * np.sqrt(Ps * vu)
     cov_tx = rho2 * np.sqrt(Ps * vt)
 
@@ -269,26 +267,20 @@ def gp_rate_oracle(g: float | np.ndarray, P: float | np.ndarray,
 MC_BLOCK = 1 << 13
 
 
-def _open_uniform(k: np.ndarray) -> np.ndarray:
-    """(2k+1)/2^54 in double for 53-bit integers k: uniforms on the open interval (0,1).
-
-    For k >= 2^52, 2k+1 rounds to even; k = 2^53 - 1 would give 1.0, so the map is held below 1.
-    """
-    return np.minimum((k * 2.0 + 1.0) * 2.0 ** -54, np.nextafter(1.0, 0.0))
-
-
 def _normal_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
     """The (4, n) standard normals of mc_estimate, MC_BLOCK columns at a time.
 
-    Row r maps PCG64(seed) outputs rn ... rn + n - 1 (drawn by jump-ahead, shifted
-    to 53 bits as Generator.integers(0, 2**53) does) through _open_uniform and ndtri.
+    Row r is the first n standard_normal draws of Generator(PCG64(seed).jumped(r)),
+    whatever MC_BLOCK is. Each block is a view of one reused buffer with contiguous
+    rows, so a caller that keeps a block past the next step must copy it.
     """
-    from scipy.special import ndtri  # kept off the solver's import path
-
-    rows = [np.random.PCG64(seed).advance(r * n) for r in range(4)]
+    rows = [np.random.Generator(np.random.PCG64(seed).jumped(r)) for r in range(4)]
+    z = np.empty((4, MC_BLOCK))
     for i in range(0, n, MC_BLOCK):
-        k = np.array([row.random_raw(min(MC_BLOCK, n - i)) for row in rows]) >> 11
-        yield ndtri(_open_uniform(k))
+        b = min(MC_BLOCK, n - i)
+        for rng, row in zip(rows, z):
+            rng.standard_normal(out=row[:b])
+        yield z[:, :b]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 The achievable rate, the outer-bound rate and the two conditional variances
 share one algebraic kernel, evaluated at (K00, K11, K22) = (P, Q-d, d) on
 the achievability side and at a general covariance on the converse side.
+
+Each closed form is one array-aware *_stack formula over draws whose parameters
+the caller has validated; the scalar API is a thin wrapper over it for one draw.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ class NumericalError(ArithmeticError):
     """A formula produced a non-finite or sign-violating intermediate."""
 
 
-def _clamp0(x: float) -> float:
-    if x < 0.0:
-        if x < SQRT_CLAMP * max(1.0, abs(x)):
-            raise NumericalError(f"sqrt argument {x!r} is negative beyond clamping dust")
-        return 0.0
-    return x
+def _clamp0(x):
+    """x with negative dust set to 0; array-aware."""
+    if np.any(x < SQRT_CLAMP * np.maximum(1.0, np.abs(x))):
+        raise NumericalError(f"sqrt argument {float(np.min(x))!r} is negative beyond clamping dust")
+    return np.maximum(x, 0.0)
 
 
 def _rate_kernel(g, k00, k11, k22, rho1, rho2, sigma_z2, base=2.0):
@@ -58,19 +60,25 @@ def _rate_kernel(g, k00, k11, k22, rho1, rho2, sigma_z2, base=2.0):
     return 0.5 * np.log(ratio) / math.log(base)
 
 
+def _finite(r, what: str):
+    if not np.all(np.isfinite(r)):
+        raise NumericalError(f"{what} is non-finite in {np.count_nonzero(~np.isfinite(r))}"
+                             f" of {np.size(r)} draws")
+    return r
+
+
+def rate_per_state_stack(g, P, rho1, rho2, d, ch: ChannelParams, base: float = 2.0):
+    """rate_per_state over arrays of draws (broadcast)."""
+    if np.any(g < 0) or np.any(P < 0):
+        raise NumericalError("g and P must be nonnegative")
+    return _finite(_rate_kernel(g, P, _clamp0(ch.Q - d), d, rho1, rho2, ch.sigma_z2, base), "rate")
+
+
 def rate_per_state(g: float, P: float, cp: CodingParams, ch: ChannelParams,
                    base: float = 2.0) -> float:
     """Achievable rate at fading amplitude g and power P; negative values are returned as-is."""
-    if g < 0 or P < 0:
-        raise NumericalError("g and P must be nonnegative")
     cp.validate(ch)
-    k11 = _clamp0(ch.Q - cp.d)
-    r = float(_rate_kernel(g, P, k11, cp.d, cp.rho1, cp.rho2, ch.sigma_z2, base))
-    if not math.isfinite(r):
-        raise NumericalError(
-            f"rate is non-finite at g={g}, P={P}, rho=({cp.rho1},{cp.rho2}), d={cp.d}"
-        )
-    return r
+    return float(rate_per_state_stack(g, P, cp.rho1, cp.rho2, cp.d, ch, base))
 
 
 def kappa_member(g: float, P: float, cp: CodingParams, ch: ChannelParams) -> bool:
@@ -80,11 +88,16 @@ def kappa_member(g: float, P: float, cp: CodingParams, ch: ChannelParams) -> boo
     return rate_per_state(g, P, cp, ch) >= 0.0
 
 
+def cond_var_y_given_u_stack(g, P, rho1, rho2, d, ch: ChannelParams):
+    """Var(Y|U) = (1-rho1^2) g^2 P + d + sigma_z2 + 2 g rho2 sqrt(P d), over arrays of draws."""
+    return ((1.0 - rho1 * rho1) * g * g * P + d + ch.sigma_z2
+            + 2.0 * g * rho2 * np.sqrt(_clamp0(P * d)))
+
+
 def cond_var_y_given_u(g: float, P: float, cp: CodingParams, ch: ChannelParams) -> float:
-    """Var(Y|U) = (1-rho1^2) g^2 P + d + sigma_z2 + 2 g rho2 sqrt(P d)."""
+    """Var(Y|U) at one draw."""
     cp.validate(ch)
-    return ((1.0 - cp.rho1 ** 2) * g * g * P + cp.d + ch.sigma_z2
-            + 2.0 * g * cp.rho2 * math.sqrt(_clamp0(P * cp.d)))
+    return float(cond_var_y_given_u_stack(g, P, cp.rho1, cp.rho2, cp.d, ch))
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,10 @@ class ConverseCovariance:
         den = math.sqrt(self.k00 * self.k22)
         return self.k02 / den if den > 0.0 else 0.0
 
+    def fields(self) -> tuple[float, float, float, float, float]:
+        """(K00, K11, K22, rho1, rho2): the arguments of the _stack formulas."""
+        return self.k00, self.k11, self.k22, self.rho1, self.rho2
+
     def matrix(self) -> np.ndarray:
         return np.array([
             [self.k00, self.k01, self.k02],
@@ -135,26 +152,38 @@ class ConverseCovariance:
         )
 
 
-def var_y(g: float, K: ConverseCovariance, ch: ChannelParams) -> float:
+def var_y_stack(g, k00, k11, k22, rho1, rho2, ch: ChannelParams):
     """Var(Y) = g^2 K00 + K11 + K22 + sigma_z2 + 2 g rho1 sqrt(K00 K11) + 2 g rho2 sqrt(K00 K22)."""
-    return (g * g * K.k00 + K.k11 + K.k22 + ch.sigma_z2
-            + 2.0 * g * K.rho1 * math.sqrt(K.k00 * K.k11)
-            + 2.0 * g * K.rho2 * math.sqrt(K.k00 * K.k22))
+    return (g * g * k00 + k11 + k22 + ch.sigma_z2
+            + 2.0 * g * rho1 * np.sqrt(_clamp0(k00 * k11))
+            + 2.0 * g * rho2 * np.sqrt(_clamp0(k00 * k22)))
+
+
+def var_y(g: float, K: ConverseCovariance, ch: ChannelParams) -> float:
+    """Var(Y) at one draw."""
+    return float(var_y_stack(g, *K.fields(), ch))
+
+
+def cond_var_s_given_shat_y_stack(g, k00, k11, k22, rho1, rho2, ch: ChannelParams):
+    """Var(S | S_hat, Y) = K22 sigma_z2 / (g^2 (1-rho1^2) K00 + K22 + sigma_z2 + 2 g rho2 sqrt(K00 K22))."""
+    den = (g * g * (1.0 - rho1 * rho1) * k00 + k22 + ch.sigma_z2
+           + 2.0 * g * rho2 * np.sqrt(_clamp0(k00 * k22)))
+    return k22 * ch.sigma_z2 / den
 
 
 def cond_var_s_given_shat_y(g: float, K: ConverseCovariance, ch: ChannelParams) -> float:
-    """Var(S | S_hat, Y) = K22 sigma_z2 / (g^2 (1-rho1^2) K00 + K22 + sigma_z2 + 2 g rho2 sqrt(K00 K22))."""
-    den = (g * g * (1.0 - K.rho1 ** 2) * K.k00 + K.k22 + ch.sigma_z2
-           + 2.0 * g * K.rho2 * math.sqrt(K.k00 * K.k22))
-    return K.k22 * ch.sigma_z2 / den
+    """Var(S | S_hat, Y) at one draw."""
+    return float(cond_var_s_given_shat_y_stack(g, *K.fields(), ch))
+
+
+def converse_rate_stack(g, k00, k11, k22, rho1, rho2, ch: ChannelParams, base: float = 2.0):
+    """Outer-bound rate over arrays of draws; same functional form as the achievable rate."""
+    return _finite(_rate_kernel(g, k00, k11, k22, rho1, rho2, ch.sigma_z2, base), "converse rate")
 
 
 def converse_rate(g: float, K: ConverseCovariance, ch: ChannelParams, base: float = 2.0) -> float:
-    """Outer-bound rate; same functional form as the achievable rate."""
-    r = float(_rate_kernel(g, K.k00, K.k11, K.k22, K.rho1, K.rho2, ch.sigma_z2, base))
-    if not math.isfinite(r):
-        raise NumericalError(f"converse rate is non-finite for K={K}")
-    return r
+    """Outer-bound rate at one draw."""
+    return float(converse_rate_stack(g, *K.fields(), ch, base))
 
 
 def psd_feasible(K: ConverseCovariance) -> bool:

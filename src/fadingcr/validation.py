@@ -105,16 +105,15 @@ def run_validation(cfg: Config, draws: int = 10000, samples: int = 1_000_000,
         checks.append(IdentityCheck(name, float(observed), tol, bool(observed <= tol)))
 
     # (i) closed-form rate vs the log-det oracle; (ii) converse functional identity.
-    # The draws come as one block of rows; the oracle runs on their stack.
+    # The draws come as one block of rows; the oracle and the closed forms run on
+    # their stack, and build_covariance validates each draw once.
     block = UniformBlock(rng, (draws, 5))
-    draws_i = [draw_params(block, ch) for _ in range(draws)]
-    gs, Ps, cps = zip(*draws_i)
-    r_closed = np.array([rc.rate_per_state(g, P, cp, ch, base) for g, P, cp in draws_i])
-    r_conv = np.array([
-        rc.converse_rate(g, rc.ConverseCovariance.from_rhos(P, ch.Q - cp.d, cp.d,
-                                                            cp.rho1, cp.rho2), ch, base)
-        for g, P, cp in draws_i])
-    r_oracle = go.gp_rate_oracle(np.array(gs), np.array(Ps), cps, ch, base)
+    gs, Ps, cps = zip(*[draw_params(block, ch) for _ in range(draws)])
+    g, P = np.array(gs), np.array(Ps)
+    rho1, rho2, d = np.array([(cp.rho1, cp.rho2, cp.d) for cp in cps]).T
+    r_oracle = go.gp_rate_oracle(g, P, cps, ch, base)
+    r_closed = rc.rate_per_state_stack(g, P, rho1, rho2, d, ch, base)
+    r_conv = rc.converse_rate_stack(g, P, ch.Q - d, d, rho1, rho2, ch, base)
     add("rate-oracle-agreement", np.max(np.abs(r_closed - r_oracle)))
     add("converse-identity",
         np.max(np.abs(r_conv - r_closed) / np.maximum(np.abs(r_closed), 1e-12)))
@@ -125,22 +124,21 @@ def run_validation(cfg: Config, draws: int = 10000, samples: int = 1_000_000,
     gs, Ps, cps, Kbs, Ks = zip(*[(*draw_params(block, ch),
                                   draw_converse_cov(block, ch, boundary=True),
                                   draw_converse_cov(block, ch)) for _ in range(m)])
-    cov = go.build_covariance(np.array(gs), np.array(Ps), cps, ch)
-    d = np.array([cp.d for cp in cps])
+    g, P = np.array(gs), np.array(Ps)
+    rho1, rho2, d = np.array([(cp.rho1, cp.rho2, cp.d) for cp in cps]).T
+    cov = go.build_covariance(g, P, cps, ch)
     add("distortion-identity", np.max(np.abs(go.schur_conditional_variance(cov, "S", "U") - d)))
-    vyu = np.array([rc.cond_var_y_given_u(g, P, cp, ch) for g, P, cp in zip(gs, Ps, cps)])
+    vyu = rc.cond_var_y_given_u_stack(g, P, rho1, rho2, d, ch)
     add("schur-var-y-given-u", np.max(np.abs(go.schur_conditional_variance(cov, "Y", "U") - vyu)
                                       / np.maximum(vyu, 1e-12)))
     # one assembly stacks the boundary draws Kb over the disk draws K
-    n = len(gs)
-    conv = go.converse_joint_covariance(np.tile(gs, 2), Kbs + Ks, ch)
-    schur = go.schur_conditional_variance(conv[:n], "S", ("Shat", "Y"),
+    conv = go.converse_joint_covariance(np.tile(g, 2), Kbs + Ks, ch)
+    schur = go.schur_conditional_variance(conv[:m], "S", ("Shat", "Y"),
                                           variables=go.CONVERSE_VARIABLES)
-    closed = np.array([rc.cond_var_s_given_shat_y(g, Kb, ch) for g, Kb in zip(gs, Kbs)])
+    closed = rc.cond_var_s_given_shat_y_stack(g, *np.array([K.fields() for K in Kbs]).T, ch)
     add("schur-var-s-given-shat-y", np.max(np.abs(schur - closed) / np.maximum(closed, 1e-12)))
-    vy_assembled = conv[n:, 4, 4]
-    vy = np.array([rc.var_y(g, K, ch) for g, K in zip(gs, Ks)])
-    add("assembly-var-y", np.max(np.abs(vy_assembled - vy) / np.maximum(vy, 1e-12)))
+    vy = rc.var_y_stack(g, *np.array([K.fields() for K in Ks]).T, ch)
+    add("assembly-var-y", np.max(np.abs(conv[m:, 4, 4] - vy) / np.maximum(vy, 1e-12)))
 
     # (iv) Monte-Carlo consistency of the construction
     err_mc_var, err_mc_rate = 0.0, 0.0
@@ -169,6 +167,7 @@ def run_validation(cfg: Config, draws: int = 10000, samples: int = 1_000_000,
         "samples": samples,
         "mc_sets": mc_sets,
         "prng": go.PRNG_ALGORITHM,
+        "numpy": np.__version__,
         "config": config_to_dict(cfg),
     }
 

@@ -418,8 +418,8 @@ def test_min_power_does_not_load_scipy_optimize():
 
 
 def test_solves_do_not_load_scipy():
-    # the Rayleigh nodes come from numpy's eigensolver and mc_estimate imports
-    # scipy.special itself, so the CLI and both solver modes load no scipy
+    # the Rayleigh nodes come from numpy's eigensolver, so the CLI and both
+    # solver modes load no scipy
     code = ("import sys\n"
             "import fadingcr.cli\n"
             "from fadingcr.model import ChannelParams, Rayleigh\n"

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from fadingcr import gaussian_oracle as go
 from fadingcr import rate_core as rc
@@ -232,16 +231,17 @@ def test_stacked_checks_name_the_bad_row():
 
 
 def test_mc_estimate_matches_the_unfused_construction():
-    # the streamed normals are the unfused (4, n) array bit for bit, also with a
-    # partial last block; the covariance is reduced in another order than np.cov
+    # the streamed normals are the one-shot rows of each row's Generator bit for
+    # bit, also with a partial last block; the covariance is reduced in another
+    # order than np.cov
     for g, P, cp, seed in ((1.2, 3.0, CodingParams(0.6, -0.3, 0.4), 5),
                            (0.3, 9.0, CodingParams(-0.9, 0.1, 0.02), 6),
                            (2.0, 0.5, CodingParams(0.0, 1.0, 0.999), 7)):
         for n in (20_000, 3 * go.MC_BLOCK + 1):
             est = go.mc_estimate(g, P, cp, CH, n=n, seed=seed)
-            rng = np.random.Generator(np.random.PCG64(seed))
-            z = ndtri(go._open_uniform(rng.integers(0, 1 << 53, size=(4, n), dtype=np.int64)))
-            assert np.array_equal(np.hstack(list(go._normal_blocks(seed, n))), z)
+            z = np.array([np.random.Generator(np.random.PCG64(seed).jumped(r)).standard_normal(n)
+                          for r in range(4)])
+            assert np.array_equal(np.hstack([b.copy() for b in go._normal_blocks(seed, n)]), z)
             vu = CH.Q - cp.d
             c_u = cp.rho1 * math.sqrt(P / vu)
             c_t = cp.rho2 * math.sqrt(P / cp.d)
